@@ -7,21 +7,13 @@ lifts to two copies (trivial boundary monodromy, no smoothed cones) or to
 one connected piece with cones duplicated or smoothed.
 """
 
-from orbicover import (
-    davis_orbicomplex,
-    demo_defining_graph,
-    enumerate_double_covers,
-    euler_characteristic,
-    verify_covering,
-)
-from orbicover.covers import davis_double_cover
-from orbicover.pipeline import census_display
+from orbicover import euler_characteristic, verify_covering
+from orbicover.pipeline import build_tower, census_display
 
-base = davis_orbicomplex(demo_defining_graph())
-cover1, _ = davis_double_cover(base)
+tower = build_tower()
 
 print("double covers of the unfolded complex (theta graph has rank 2):")
-for phi, cover, cover_map in enumerate_double_covers(cover1):
+for phi, cover, cover_map in tower.family1:
     on = sorted(e for e, v in phi.edges.items() if v)
     print(
         f"  phi=1 on {on}: chi={euler_characteristic(cover)}, "
@@ -30,11 +22,8 @@ for phi, cover, cover_map in enumerate_double_covers(cover1):
 
 # exactly one labeling turns every piece into a six-cone disk; that cover
 # is the next floor of the tower
-tower2 = [c for _phi, c, _f in enumerate_double_covers(cover1)
-          if all(len(p.cones) == 6 for p in c.pieces)]
-assert len(tower2) == 1
-x2 = tower2[0]
+assert all(len(p.cones) == 6 for p in tower.cover2.pieces)
 
 print(f"\nits double covers (rank-3 graph, 7 labelings):")
-for phi, cover, cover_map in enumerate_double_covers(x2):
+for phi, cover, cover_map in tower.family2:
     print(f"  chi={euler_characteristic(cover)}, pieces={census_display(cover)}")

@@ -8,43 +8,14 @@ all of them, so any two are homotopy equivalent: homeomorphism fails while
 the fundamental groups agree.
 """
 
-import itertools
+from orbicover import compare_report, planar_normal_form
+from orbicover.pipeline import build_tower
 
-from orbicover import (
-    compare_report,
-    davis_orbicomplex,
-    demo_defining_graph,
-    enumerate_double_covers,
-    marked_graph_isomorphism,
-    planar_normal_form,
-    singular_subspace,
-    topological_form,
-)
-from orbicover.covers import davis_double_cover
-from orbicover.invariants import normal_forms_isomorphic
+tower = build_tower()
+print(f"{len(tower.family2)} covers, {len(tower.candidates)} with census 4 x D2(10) + 8 x D2(6)")
+print(f"{len(tower.pairs)} pairs are homotopy equivalent but not homeomorphic")
 
-base = davis_orbicomplex(demo_defining_graph())
-cover1, _ = davis_double_cover(base)
-x2 = [c for _p, c, _f in enumerate_double_covers(cover1)
-      if all(len(p.cones) == 6 for p in c.pieces)][0]
-
-family = enumerate_double_covers(x2)
-candidates = [c for _p, c, _f in family
-              if sorted(len(p.cones) for p in c.pieces) == [6] * 8 + [10] * 4]
-print(f"{len(family)} covers, {len(candidates)} with census 4 x D2(10) + 8 x D2(6)")
-
-pairs = []
-for i, j in itertools.combinations(range(len(candidates)), 2):
-    a, b = candidates[i], candidates[j]
-    sing_iso = marked_graph_isomorphism(
-        topological_form(singular_subspace(a)), topological_form(singular_subspace(b))
-    )
-    nf_match = normal_forms_isomorphic(planar_normal_form(a), planar_normal_form(b))
-    if sing_iso is None and nf_match is not None:
-        pairs.append((i, j))
-print(f"{len(pairs)} pairs are homotopy equivalent but not homeomorphic")
-
-y, z = candidates[pairs[0][0]], candidates[pairs[0][1]]
+y, z = tower.y, tower.z
 report = compare_report(y, z)
 print(f"\neuler characteristics: {report['euler'][0]} vs {report['euler'][1]}")
 print(f"singular subspaces isomorphic: {'no' if report['singular_iso'] == 'no' else 'yes'}")

@@ -7,25 +7,17 @@ the singular graph.  The degree-4 covers have torsion-free fundamental
 groups, stay homotopy equivalent, and still are not homeomorphic.
 """
 
-import itertools
-
 from orbicover import (
-    davis_orbicomplex,
-    demo_defining_graph,
-    enumerate_double_covers,
     euler_characteristic,
     homotopy_equivalence_certificate,
     marked_graph_isomorphism,
-    planar_normal_form,
     singular_subspace,
     surface_over_disk_tower,
     topological_form,
-    torsion_free_cover,
     torsion_freeness,
     verify_covering,
 )
-from orbicover.covers import davis_double_cover
-from orbicover.invariants import normal_forms_isomorphic
+from orbicover.pipeline import build_tower
 
 # the two rotation quotients of the relevant surfaces
 for genus in (3, 7):
@@ -36,39 +28,22 @@ for genus in (3, 7):
         f"{verify_covering(tower.upper).passed and verify_covering(tower.lower).passed}"
     )
 
-# rebuild the pair
-base = davis_orbicomplex(demo_defining_graph())
-cover1, _ = davis_double_cover(base)
-x2 = [c for _p, c, _f in enumerate_double_covers(cover1)
-      if all(len(p.cones) == 6 for p in c.pieces)][0]
-candidates = [c for _p, c, _f in enumerate_double_covers(x2)
-              if sorted(len(p.cones) for p in c.pieces) == [6] * 8 + [10] * 4]
-pair = None
-for i, j in itertools.combinations(range(len(candidates)), 2):
-    a, b = candidates[i], candidates[j]
-    if marked_graph_isomorphism(
-        topological_form(singular_subspace(a)), topological_form(singular_subspace(b))
-    ) is None and normal_forms_isomorphic(
-        planar_normal_form(a), planar_normal_form(b)
-    ):
-        pair = (a, b)
-        break
-y, z = pair
-
-hats = []
-for name, cx in (("first", y), ("second", z)):
-    hat, cover_map = torsion_free_cover(cx)
+# the pair and its torsion-free covers, from the pipeline's tower
+t = build_tower()
+for name, cx, hat, cover_map in (
+    ("first", t.y, t.y_hat, t.y_hat_map),
+    ("second", t.z, t.z_hat, t.z_hat_map),
+):
     report = verify_covering(cover_map)
     print(f"\n{name} cover lifts to degree {report.degree}: verified {report.passed}")
     print(f"  chi = {euler_characteristic(hat)} = 4 * {euler_characteristic(cx)}")
     print(f"  torsion-free: {torsion_freeness(hat)}")
     print(f"  pieces: {sorted((p.genus, len(p.boundary)) for p in hat.pieces)}")
     print(f"  graph components: {len(hat.graph.components())} (four copies of the singular graph)")
-    hats.append(hat)
 
 still_noniso = marked_graph_isomorphism(
-    topological_form(singular_subspace(hats[0])),
-    topological_form(singular_subspace(hats[1])),
+    topological_form(singular_subspace(t.y_hat)),
+    topological_form(singular_subspace(t.z_hat)),
 ) is None
 print(f"\nsingular subspaces still non-isomorphic: {still_noniso}")
-print(f"homotopy certificate: {homotopy_equivalence_certificate(*hats) is not None}")
+print(f"homotopy certificate: {homotopy_equivalence_certificate(t.y_hat, t.z_hat) is not None}")

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import coxeter, covers, invariants, orbicore, pipeline, serialize
-from .orbicore import InvalidComplex, MalformedRotation, OrbicoverError
+from .orbicore import OrbicoverError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -264,15 +264,8 @@ def main(argv=None) -> int:
     except serialize.SchemaError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except (InvalidComplex, MalformedRotation, coxeter.NoEssentialVertices,
-            covers.MirrorsPresent, covers.UnsupportedPiece, covers.NotAPolygon,
-            covers.NotADiskOrbifold, covers.NotAHomomorphism, covers.NotSurjective,
-            covers.BadGenus, covers.MismatchedComplexes,
-            invariants.Disconnected) as exc:
-        sys.stderr.write(f"precondition failed: {exc}\n")
-        return EXIT_PRECONDITION
     except OrbicoverError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_PRECONDITION
 
 

@@ -32,6 +32,8 @@ from .orbicore import (
     euler_characteristic,
     recompute_multiplicities,
     require_valid,
+    reverse_dart,
+    reverse_walk,
     rotation_from_circuits,
     surface_with_boundary,
     wall_mark,
@@ -198,9 +200,6 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
     def tgt_dart(edge: str, direction: int) -> tuple[str, int]:
         return (edge, 0 if direction == 1 else 1)
 
-    def rev(d: tuple[str, int]) -> tuple[str, int]:
-        return (d[0], 1 - d[1])
-
     for v in src.vertices():
         stars[("v", v)] = []
     for e in src.edge_ids():
@@ -219,10 +218,10 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
             if walk[i][1] != walk[i + 1][0]:
                 out.append(f"edge {e}: image path broken at step {i}")
         stars[("v", u)].append(tgt_dart(*path[0]))
-        stars[("v", v)].append(rev(tgt_dart(*path[-1])))
+        stars[("v", v)].append(reverse_dart(tgt, tgt_dart(*path[-1])))
         for i in range(len(path) - 1):
             key = ("sub", e, i)
-            stars[key] = [rev(tgt_dart(*path[i])), tgt_dart(*path[i + 1])]
+            stars[key] = [reverse_dart(tgt, tgt_dart(*path[i])), tgt_dart(*path[i + 1])]
     if out:
         return out
 
@@ -312,7 +311,7 @@ def _piece_boundary_violations(f: CoveringMap, pid: str) -> list[str]:
                 if mapped is None:
                     out.append(f"segment {ref}: attachment edge {e} unmapped")
                 else:
-                    want = mapped if d == 1 else [(x, -dd) for x, dd in reversed(mapped)]
+                    want = mapped if d == 1 else reverse_walk(mapped)
                     if imgs != want:
                         out.append(
                             f"segment {ref}: attachment image {imgs} != edge path {want}"
@@ -676,11 +675,9 @@ class TwoTorsionLabeling:
         )
 
     def key(self) -> tuple:
-        return (
-            tuple(sorted((k, v) for k, v in self.edges.items() if v)),
-            tuple(sorted((k, v) for k, v in self.cones.items() if v)),
-            tuple(sorted((k, v) for k, v in self.mirrors.items() if v)),
-            tuple(sorted((k, v) for k, v in self.walls.items() if v)),
+        return tuple(
+            tuple(sorted((k, v) for k, v in values.items() if v))
+            for values in (self.edges, self.cones, self.mirrors, self.walls)
         )
 
 
@@ -915,6 +912,19 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             tail_sheet = sheet ^ (h[si] if direction == 1 else h[si + 1])
             return lifted_attachment(e, d * direction, tail_sheet)
 
+        def lift_to_two_copies() -> None:
+            for s in (0, 1):
+                pid2 = f"{p.id}.{s}"
+                pieces.append(Piece(pid2, 0, (tuple(circle),), tuple(p.cones)))
+                piece_map[pid2] = (p.id, 1)
+                for si in range(t):
+                    segmap[(pid2, 0, si)] = [(0, si, 1)]
+                    att = attach_lift(si, s, 1)
+                    if att:
+                        attachments[(pid2, 0, si)] = att
+                for j in range(len(p.cones)):
+                    cone_fibers.setdefault((p.id, j), []).append(("cone", pid2, j))
+
         if p.has_mirrors:
             glued = {
                 si
@@ -922,16 +932,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                 if kind == MIRROR and phi.mirror((p.id, 0, si)) == 1
             }
             if not glued:
-                for s in (0, 1):
-                    pid2 = f"{p.id}.{s}"
-                    pieces.append(Piece(pid2, 0, (tuple(circle),), ()))
-                    piece_map[pid2] = (p.id, 1)
-                    for si, kind in enumerate(circle):
-                        segmap[(pid2, 0, si)] = [(0, si, 1)]
-                        if kind == FREE:
-                            att = attach_lift(si, s, 1)
-                            if att:
-                                attachments[(pid2, 0, si)] = att
+                lift_to_two_copies()
             else:
                 traces = _trace_polygon(circle, glued)
                 pid2 = f"{p.id}.01"
@@ -984,17 +985,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             cone_vals = [phi.cone(p.id, j) for j in range(k)]
             parity = h[t]
             if parity == 0 and not any(cone_vals):
-                for s in (0, 1):
-                    pid2 = f"{p.id}.{s}"
-                    pieces.append(Piece(pid2, 0, (tuple(circle),), tuple(p.cones)))
-                    piece_map[pid2] = (p.id, 1)
-                    for si in range(t):
-                        segmap[(pid2, 0, si)] = [(0, si, 1)]
-                        att = attach_lift(si, s, 1)
-                        if att:
-                            attachments[(pid2, 0, si)] = att
-                    for j in range(k):
-                        cone_fibers.setdefault((p.id, j), []).append(("cone", pid2, j))
+                lift_to_two_copies()
             else:
                 pid2 = f"{p.id}.01"
                 k0 = cone_vals.count(0)
@@ -1012,20 +1003,14 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                 cover = Piece(pid2, genus2, bnd, (2,) * (2 * k0))
                 pieces.append(cover)
                 piece_map[pid2] = (p.id, 2)
-                if parity == 1:
-                    for lap in (0, 1):
-                        for si in range(t):
-                            segmap[(pid2, 0, lap * t + si)] = [(0, si, 1)]
-                            att = attach_lift(si, lap, 1)
-                            if att:
-                                attachments[(pid2, 0, lap * t + si)] = att
-                else:
-                    for s in (0, 1):
-                        for si in range(t):
-                            segmap[(pid2, s, si)] = [(0, si, 1)]
-                            att = attach_lift(si, s, 1)
-                            if att:
-                                attachments[(pid2, s, si)] = att
+                # parity 1: one circle, two laps; parity 0: one circle per sheet
+                for s in (0, 1):
+                    for si in range(t):
+                        ref = (pid2, 0, s * t + si) if parity == 1 else (pid2, s, si)
+                        segmap[ref] = [(0, si, 1)]
+                        att = attach_lift(si, s, 1)
+                        if att:
+                            attachments[ref] = att
                 new_cone = 0
                 for j, val in enumerate(cone_vals):
                     if val == 0:
@@ -1135,8 +1120,8 @@ def _smooth_unfolded_walls(f: CoveringMap) -> None:
         new_edge = f"c.{v[:-len('.m')]}"
         d1 = 1 if c.graph.edges[e1][1] == v else -1   # e1 traversed a -> v
         d2 = 1 if c.graph.edges[e2][0] == v else -1   # e2 traversed v -> b
-        path1 = f.edge_map[e1] if d1 == 1 else [(x, -d) for x, d in reversed(f.edge_map[e1])]
-        path2 = f.edge_map[e2] if d2 == 1 else [(x, -d) for x, d in reversed(f.edge_map[e2])]
+        path1 = f.edge_map[e1] if d1 == 1 else reverse_walk(f.edge_map[e1])
+        path2 = f.edge_map[e2] if d2 == 1 else reverse_walk(f.edge_map[e2])
         c.graph.edges[new_edge] = (a, b)
         f.edge_map[new_edge] = path1 + path2
 
@@ -1156,8 +1141,6 @@ def _smooth_unfolded_walls(f: CoveringMap) -> None:
         for ref, att in list(c.attachments.items()):
             c.attachments[ref] = remap_att(att)
         del c.graph.edges[e1], c.graph.edges[e2]
-        c.graph.multiplicity.pop(e1, None)
-        c.graph.multiplicity.pop(e2, None)
         del c.graph.marks[v]
         del f.edge_map[e1], f.edge_map[e2]
         del f.vertex_map[v]
@@ -1289,9 +1272,7 @@ def torsion_free_cover(c: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
             raise UnsupportedPiece(f"piece {p.id} is not a cone disk") from exc
         if k < 4:
             raise UnsupportedPiece(f"piece {p.id}: needs >= 4 cones, has {k}")
-        if any(
-            c.attachments.get((p.id, 0, si)) is None for si in range(len(p.boundary[0]))
-        ):
+        if not _fully_attached(c, p.id):
             raise UnsupportedPiece(f"piece {p.id}: boundary circle not fully attached")
 
     graph = MarkedGraph()
@@ -1361,7 +1342,7 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
         raise MismatchedComplexes("compose: f.target is not g.source")
 
     def orient(path: list[tuple[str, int]], d: int) -> list[tuple[str, int]]:
-        return path if d == 1 else [(x, -dd) for x, dd in reversed(path)]
+        return path if d == 1 else reverse_walk(path)
 
     edge_map = {}
     for e, path in f.edge_map.items():

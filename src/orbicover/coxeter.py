@@ -5,6 +5,7 @@ polygon per branch along a star of non-reflection half-edges."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import networkx as nx
@@ -29,6 +30,10 @@ class BranchTooShort(OrbicoverError):
     pass
 
 
+class HasTriangle(OrbicoverError):
+    """The defining graph has a triangle: its Davis complex is not 2-dimensional."""
+
+
 @dataclass(frozen=True)
 class DefiningGraph:
     """Finite simplicial graph: vertex tokens plus unordered edges, no loops
@@ -49,11 +54,20 @@ class DefiningGraph:
             es.add(frozenset((a, b)))
         return DefiningGraph(vs, frozenset(es))
 
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Sorted neighbours of every vertex, built once."""
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
     def valence(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.adjacency.get(v, ()))
 
     def neighbors(self, v: str) -> list[str]:
-        return sorted(next(iter(e - {v})) for e in self.edges if v in e)
+        return list(self.adjacency.get(v, ()))
 
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices)
@@ -179,8 +193,13 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
     The polygon of a branch from a to z (a <= z) has boundary
     [free, mirror * n, free]: the first free segment runs hub -> wall(a),
     the mirror chain follows the branch path, the last runs wall(z) -> hub.
+    Graphs with a triangle are refused (HasTriangle).
     """
     branches = branch_decomposition(g)
+    for a, b in g.sorted_edges():
+        common = set(g.adjacency[a]).intersection(g.adjacency[b])
+        if common:
+            raise HasTriangle(f"defining graph has the triangle {sorted((a, b, min(common)))}")
 
     graph = MarkedGraph()
     graph.marks["hub"] = None
@@ -194,19 +213,12 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
     pieces = []
     attachments = {}
     for b in branches:
-        a, z = b.endpoints
-        lo, hi = min(a, z), max(a, z)
+        lo, hi = sorted(b.endpoints)
         k = counters.get((lo, hi), 0)
         counters[(lo, hi)] = k + 1
-        pid = f"{lo}-{hi}-{k}"
+        pid = branch_id(b, k)
         path = b.path if b.path[0] == lo else tuple(reversed(b.path))
-        piece = Piece(
-            id=pid,
-            genus=0,
-            boundary=((FREE,) + (MIRROR,) * b.n + (FREE,),),
-            cones=(),
-        )
-        pieces.append(piece)
+        pieces.append(branch_polygon(b, pid))
         # hub -> wall(lo) is e.lo reversed; wall(hi) -> hub is e.hi forward
         attachments[(pid, 0, 0)] = (f"e.{path[0]}", -1)
         attachments[(pid, 0, b.n + 1)] = (f"e.{path[-1]}", 1)

@@ -22,6 +22,7 @@ from .orbicore import (
     euler_characteristic,
     marked_graph_isomorphism,
     require_valid,
+    reverse_walk,
     ribbon_neighborhood,
     singular_subspace,
     topological_form,
@@ -114,8 +115,8 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     return factors
 
 
-def abelianization(p: GroupPresentation) -> AbelianInvariants:
-    """Invariant factors of the relator exponent-sum matrix."""
+def _exponent_matrix(p: GroupPresentation) -> list[list[int]]:
+    """One row per relator: its exponent sum on each generator."""
     index = {g: i for i, g in enumerate(p.generators)}
     matrix = []
     for rel in p.relators:
@@ -123,6 +124,12 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
         for g, e in rel:
             row[index[g]] += e
         matrix.append(row)
+    return matrix
+
+
+def abelianization(p: GroupPresentation) -> AbelianInvariants:
+    """Invariant factors of the relator exponent-sum matrix."""
+    matrix = _exponent_matrix(p)
     if not matrix:
         return AbelianInvariants(len(p.generators), ())
     factors = smith_normal_form(matrix)
@@ -132,13 +139,7 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
 
 def presentation_betti(p: GroupPresentation) -> tuple[int, int]:
     """(rank H_1, rank H_2) of the presentation 2-complex."""
-    index = {g: i for i, g in enumerate(p.generators)}
-    matrix = []
-    for rel in p.relators:
-        row = [0] * len(p.generators)
-        for g, e in rel:
-            row[index[g]] += e
-        matrix.append(row)
+    matrix = _exponent_matrix(p)
     rank = len(smith_normal_form(matrix)) if matrix else 0
     return (len(p.generators) - rank, len(p.relators) - rank)
 
@@ -155,10 +156,6 @@ def _free_reduce(word: list[tuple[str, int]]) -> Word:
         else:
             out.append((g, e))
     return tuple(out)
-
-
-def _inverse(word) -> list[tuple[str, int]]:
-    return [(g, -e) for g, e in reversed(word)]
 
 
 def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
@@ -270,29 +267,14 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
                 if circle[si] == MIRROR and circle[sj] == MIRROR:
                     a, b = mirror_name[si], mirror_name[sj]
                     relators.append(((a, 1), (b, 1), (a, 1), (b, 1)))
-                elif circle[si] == MIRROR and circle[sj] == FREE:
-                    ends = c.seg_endpoints((p.id, ci, sj))
+                elif circle[si] != circle[sj]:
+                    # mirror|free junction: the mirror is conjugate to its wall
+                    mirror, free, end = (si, sj, 0) if circle[si] == MIRROR else (sj, si, 1)
+                    ends = c.seg_endpoints((p.id, ci, free))
                     if ends is not None:
-                        mark = c.graph.marks[ends[0]]
+                        wall = wall_gen[c.graph.marks[ends[end]][1]]
                         conj = pref[sj]
-                        rel = (
-                            [(mirror_name[si], 1)]
-                            + conj
-                            + [(wall_gen[mark[1]], -1)]
-                            + _inverse(conj)
-                        )
-                        relators.append(_free_reduce(rel))
-                elif circle[si] == FREE and circle[sj] == MIRROR:
-                    ends = c.seg_endpoints((p.id, ci, si))
-                    if ends is not None:
-                        mark = c.graph.marks[ends[1]]
-                        conj = pref[sj]
-                        rel = (
-                            [(mirror_name[sj], 1)]
-                            + conj
-                            + [(wall_gen[mark[1]], -1)]
-                            + _inverse(conj)
-                        )
+                        rel = [(mirror_name[mirror], 1)] + conj + [(wall, -1)] + reverse_walk(conj)
                         relators.append(_free_reduce(rel))
 
         cone_names = []
@@ -350,7 +332,7 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
                     word += [(tname, 1)] + w + [(tname, -1)]
         for an, bn in handle_names:
             word += [(an, 1), (bn, 1), (an, -1), (bn, -1)]
-        word += _inverse([(x, 1) for x in cone_names])
+        word += reverse_walk([(x, 1) for x in cone_names])
         relators.append(_free_reduce(word))
 
     relators = [r for r in relators if r]
@@ -423,10 +405,9 @@ def normal_forms_isomorphic(n1: NormalForm, n2: NormalForm) -> Optional[dict]:
     comps2 = list(range(len(n2.components)))
 
     def backtrack_components():
-        by_type: dict[tuple, list[int]] = {}
+        pools: dict[tuple, list[int]] = {}
         for j in comps2:
-            by_type.setdefault(n2.components[j], []).append(j)
-        pools = {k: list(v) for k, v in by_type.items()}
+            pools.setdefault(n2.components[j], []).append(j)
 
         def rec(i, acc):
             if i == len(comps1):

@@ -252,9 +252,7 @@ class Orbicomplex:
         att = self.attachments.get(ref)
         if att is None or att[0] not in self.graph.edges:
             return None
-        e, d = att
-        u, v = self.graph.edges[e]
-        return (u, v) if d == 1 else (v, u)
+        return directed_ends(self.graph, *att)
 
 
 def directed_ends(graph: MarkedGraph, edge: str, direction: int) -> tuple[str, str]:
@@ -287,6 +285,9 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
         for m in p.cones:
             if m < 2:
                 out.append(Violation("BadConeOrder", f"{p.id}: order {m}"))
+        for ci, si, kind in p.segments():
+            if kind not in (MIRROR, FREE):
+                out.append(Violation("UnknownSegmentKind", f"{p.id} circle {ci} segment {si}: {kind!r}"))
         if p.has_mirrors:
             if p.genus != 0:
                 out.append(Violation("MirrorOnPositiveGenus", p.id))
@@ -459,7 +460,6 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
             b = g.edges[e2][0] if g.edges[e2][1] == v else g.edges[e2][1]
             mult = g.multiplicity.get(e1, 0)
             del g.edges[e1], g.edges[e2]
-            g.multiplicity.pop(e1, None)
             g.multiplicity.pop(e2, None)
             del g.marks[v]
             g.edges[e1] = (a, b)
@@ -474,11 +474,8 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
 
 
 def _edges_between(g: MarkedGraph, u: str, v: str) -> list[int]:
-    out = []
-    for e, (a, b) in g.edges.items():
-        if {a, b} == {u, v} or (u == v and a == b == u):
-            out.append(g.multiplicity.get(e, 0))
-    return sorted(out)
+    """Sorted multiplicities of the edges joining u and v (loops if u == v)."""
+    return sorted(g.multiplicity.get(e, 0) for e, (a, b) in g.edges.items() if {a, b} == {u, v})
 
 
 def _refined_signatures(g: MarkedGraph, verts: list[str]) -> dict[str, tuple]:
@@ -536,16 +533,15 @@ def _component_isos(
     if sorted(sig1.values()) != sorted(sig2.values()):
         return
 
-    adj1: dict[str, set[str]] = {v: set() for v in verts1}
-    for e, (a, b) in g1.edges.items():
-        if a in c1:
-            adj1[a].add(b)
-            adj1[b].add(a)
-    adj2: dict[str, set[str]] = {v: set() for v in verts2}
-    for e, (a, b) in g2.edges.items():
-        if a in c2:
-            adj2[a].add(b)
-            adj2[b].add(a)
+    def neighbour_sets(g: MarkedGraph, comp: set[str]) -> dict[str, set[str]]:
+        adj: dict[str, set[str]] = {v: set() for v in comp}
+        for a, b in g.edges.values():
+            if a in comp:
+                adj[a].add(b)
+                adj[b].add(a)
+        return adj
+
+    adj1, adj2 = neighbour_sets(g1, c1), neighbour_sets(g2, c2)
 
     # BFS order so every vertex after the root touches a mapped one
     freq: dict[tuple, int] = {}
@@ -644,13 +640,19 @@ def reverse_dart(g: MarkedGraph, d: tuple[str, int]) -> tuple[str, int]:
     return (d[0], 1 - d[1])
 
 
+def reverse_walk(walk) -> list[tuple[str, int]]:
+    """The walk traversed backwards: reversed order, every direction negated.
+    Also the inverse of a group word of (generator, exponent) letters."""
+    return [(x, -d) for x, d in reversed(walk)]
+
+
 def check_rotation(g: MarkedGraph, rotation: dict[str, list[tuple[str, int]]]) -> None:
     expected: dict[str, list] = {v: [] for v in g.marks}
     for d in g.darts():
         expected[g.dart_tail(d)].append(d)
-    if sorted(rotation) != sorted(v for v in expected if expected[v]):
-        extra = sorted(set(rotation) - set(v for v in expected if expected[v]))
-        missing = sorted(set(v for v in expected if expected[v]) - set(rotation))
+    used = {v for v, ds in expected.items() if ds}
+    if set(rotation) != used:
+        extra, missing = sorted(set(rotation) - used), sorted(used - set(rotation))
         raise MalformedRotation(f"vertex mismatch: extra {extra}, missing {missing}")
     for v, cyc in rotation.items():
         if sorted(cyc) != sorted(expected[v]):
@@ -749,13 +751,8 @@ def rotation_from_circuits(
                     return None
 
     def darts_of(idx: int) -> list[tuple[str, int]]:
-        walk = circuits[idx]
-        if flip[idx]:
-            walk = [(e, -d) for e, d in reversed(walk)]
-        out = []
-        for e, d in walk:
-            out.append((e, 0 if d == 1 else 1))
-        return out
+        walk = reverse_walk(circuits[idx]) if flip[idx] else circuits[idx]
+        return [(e, 0 if d == 1 else 1) for e, d in walk]
 
     succ: dict[tuple[str, int], tuple[str, int]] = {}
     for idx in range(len(circuits)):
@@ -823,8 +820,7 @@ def _canonical_cycle(walk: list[tuple[str, int]]) -> tuple:
     """Minimal representative of a closed walk up to rotation and reversal."""
     variants = []
     n = len(walk)
-    rev = [(e, -d) for e, d in reversed(walk)]
-    for w in (walk, rev):
+    for w in (walk, reverse_walk(walk)):
         for r in range(n):
             variants.append(tuple(w[r:] + w[:r]))
     return min(variants)

@@ -5,7 +5,6 @@ round-trips exactly."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .coxeter import DefiningGraph, GroupPresentation
@@ -22,6 +21,21 @@ def _need(obj: dict, key: str):
     if key not in obj:
         raise SchemaError(f"missing key {key!r}")
     return obj[key]
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer, exactly: strings, floats and booleans are refused."""
+    if type(value) is not int:
+        raise SchemaError(f"{what}: expected an integer, got {value!r}")
+    return value
+
+
+def _segment_ref(data: dict) -> tuple[str, int, int]:
+    return (
+        _need(data, "piece"),
+        _int(_need(data, "circle"), "circle"),
+        _int(_need(data, "segment"), "segment"),
+    )
 
 
 # --- defining graphs -------------------------------------------------------
@@ -54,7 +68,7 @@ def presentation_to_json(p: GroupPresentation) -> dict:
 def presentation_from_json(data: dict) -> GroupPresentation:
     gens = tuple(_need(data, "generators"))
     relators = tuple(
-        tuple((g, int(e)) for g, e in rel) for rel in _need(data, "relators")
+        tuple((g, _int(e, "relator exponent")) for g, e in rel) for rel in _need(data, "relators")
     )
     return GroupPresentation(gens, relators)
 
@@ -103,7 +117,7 @@ def marked_graph_from_json(data: dict) -> MarkedGraph:
         if len(ends) != 2:
             raise SchemaError(f"edge {ed.get('id')!r}: bad ends")
         g.edges[_need(ed, "id")] = (ends[0], ends[1])
-        g.multiplicity[ed["id"]] = int(ed.get("multiplicity", 0))
+        g.multiplicity[ed["id"]] = _int(ed.get("multiplicity", 0), "edge multiplicity")
     return g
 
 
@@ -122,9 +136,9 @@ def piece_to_json(p: Piece) -> dict:
 def piece_from_json(data: dict) -> Piece:
     return Piece(
         id=_need(data, "id"),
-        genus=int(data.get("genus", 0)),
+        genus=_int(data.get("genus", 0), "genus"),
         boundary=tuple(tuple(c) for c in data.get("boundary", [])),
-        cones=tuple(int(m) for m in data.get("cones", [])),
+        cones=tuple(_int(m, "cone order") for m in data.get("cones", [])),
     )
 
 
@@ -137,7 +151,7 @@ def rotation_to_json(rotation) -> Any:
 def rotation_from_json(data) -> Any:
     if data is None:
         return None
-    return {v: [(e, int(end)) for e, end in cyc] for v, cyc in data.items()}
+    return {v: [(e, _int(end, "rotation end")) for e, end in cyc] for v, cyc in data.items()}
 
 
 def orbicomplex_to_json(c: Orbicomplex) -> dict:
@@ -163,8 +177,7 @@ def orbicomplex_from_json(data: dict) -> Orbicomplex:
     graph = marked_graph_from_json(_need(data, "graph"))
     attachments = {}
     for ad in data.get("attachments", []):
-        ref = (_need(ad, "piece"), int(_need(ad, "circle")), int(_need(ad, "segment")))
-        attachments[ref] = (_need(ad, "edge"), int(_need(ad, "direction")))
+        attachments[_segment_ref(ad)] = (_need(ad, "edge"), _int(_need(ad, "direction"), "direction"))
     return Orbicomplex(
         pieces=pieces,
         graph=graph,
@@ -210,21 +223,23 @@ def covering_map_from_json(data: dict) -> CoveringMap:
     f = CoveringMap(
         source=orbicomplex_from_json(_need(data, "source")),
         target=orbicomplex_from_json(_need(data, "target")),
-        degree=int(_need(data, "degree")),
+        degree=_int(_need(data, "degree"), "degree"),
         vertex_map=dict(data.get("vertex_map", {})),
         edge_map={
-            e: [(te, int(d)) for te, d in path]
+            e: [(te, _int(d, "edge direction")) for te, d in path]
             for e, path in data.get("edge_map", {}).items()
         },
-        piece_map={p: (q, int(l)) for p, (q, l) in data.get("piece_map", {}).items()},
+        piece_map={p: (q, _int(l, "local degree")) for p, (q, l) in data.get("piece_map", {}).items()},
     )
     for sd in data.get("segment_map", []):
-        ref = (_need(sd, "piece"), int(_need(sd, "circle")), int(_need(sd, "segment")))
-        f.segment_map[ref] = [(int(a), int(b), int(d)) for a, b, d in sd["steps"]]
+        f.segment_map[_segment_ref(sd)] = [
+            (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
+            for a, b, d in sd["steps"]
+        ]
     for cd in data.get("cone_fibers", []):
-        key = (_need(cd, "piece"), int(_need(cd, "cone")))
+        key = (_need(cd, "piece"), _int(_need(cd, "cone"), "cone index"))
         f.cone_fibers[key] = [
-            ("cone", tok[1], int(tok[2])) if tok[0] == "cone" else ("smooth", tok[1], tok[2])
+            ("cone", tok[1], _int(tok[2], "cone preimage")) if tok[0] == "cone" else ("smooth", tok[1], tok[2])
             for tok in cd["preimages"]
         ]
     return f
@@ -248,14 +263,10 @@ def abelian_invariants_to_json(a: AbelianInvariants) -> dict:
     return {"free_rank": a.free_rank, "torsion": list(a.torsion)}
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def compare_report_to_json(report: dict) -> dict:
     iso = report["singular_iso"]
     return {
-        "euler": [fraction_to_str(x) for x in report["euler"]],
+        "euler": [str(x) for x in report["euler"]],
         "singular_iso": iso if iso == "no" else dict(iso),
         "abelianization": [
             abelian_invariants_to_json(a) for a in report["abelianization"]

@@ -1,4 +1,3 @@
-import itertools
 import sys
 from pathlib import Path
 
@@ -6,67 +5,25 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from orbicover import coxeter, covers, invariants, orbicore
-
-
-class Chain:
-    """The full construction tower, built once per session."""
-
-    def __init__(self):
-        self.graph = coxeter.demo_defining_graph()
-        self.base = coxeter.davis_orbicomplex(self.graph)
-        self.cover1, self.map1 = covers.davis_double_cover(self.base)
-        self.family1 = covers.enumerate_double_covers(self.cover1)
-        selected = [
-            (phi, cx, fm)
-            for phi, cx, fm in self.family1
-            if sorted(len(p.cones) for p in cx.pieces) == [6] * 8
-        ]
-        assert len(selected) == 1
-        self.phi2, self.cover2, self.map2 = selected[0]
-        self.family2 = covers.enumerate_double_covers(self.cover2)
-        self.candidates = [
-            (phi, cx, fm)
-            for phi, cx, fm in self.family2
-            if sorted(len(p.cones) for p in cx.pieces) == [6] * 8 + [10] * 4
-        ]
-        pairs = []
-        for i, j in itertools.combinations(range(len(self.candidates)), 2):
-            ca, cb = self.candidates[i][1], self.candidates[j][1]
-            sa = orbicore.topological_form(orbicore.singular_subspace(ca))
-            sb = orbicore.topological_form(orbicore.singular_subspace(cb))
-            if orbicore.marked_graph_isomorphism(sa, sb) is not None:
-                continue
-            na = invariants.planar_normal_form(ca)
-            nb = invariants.planar_normal_form(cb)
-            if na is None or nb is None:
-                continue
-            if invariants.normal_forms_isomorphic(na, nb) is None:
-                continue
-            pairs.append((i, j))
-        assert pairs
-        self.pairs = pairs
-        i, j = pairs[0]
-        self.y, self.y_map = self.candidates[i][1], self.candidates[i][2]
-        self.z, self.z_map = self.candidates[j][1], self.candidates[j][2]
-        self.y_hat, self.y_hat_map = covers.torsion_free_cover(self.y)
-        self.z_hat, self.z_hat_map = covers.torsion_free_cover(self.z)
-
-    def all_covering_maps(self):
-        out = [("cover1", self.map1), ("cover2", self.map2)]
-        out += [(f"family1[{k}]", fm) for k, (_p, _c, fm) in enumerate(self.family1)]
-        out += [(f"family2[{k}]", fm) for k, (_p, _c, fm) in enumerate(self.family2)]
-        out += [("y_hat", self.y_hat_map), ("z_hat", self.z_hat_map)]
-        return out
+from orbicover import pipeline
 
 
 @pytest.fixture(scope="session")
 def chain():
-    return Chain()
+    """The full construction tower, built once per session."""
+    return pipeline.build_tower()
+
+
+@pytest.fixture(scope="session")
+def covering_maps(chain):
+    """(name, map) for every covering map the tower constructs."""
+    out = [("cover1", chain.map1), ("cover2", chain.map2)]
+    out += [(f"family1[{k}]", fm) for k, (_p, _c, fm) in enumerate(chain.family1)]
+    out += [(f"family2[{k}]", fm) for k, (_p, _c, fm) in enumerate(chain.family2)]
+    out += [("y_hat", chain.y_hat_map), ("z_hat", chain.z_hat_map)]
+    return out
 
 
 @pytest.fixture(scope="session")
 def demo_report():
-    from orbicover import pipeline
-
     return pipeline.run_demo()

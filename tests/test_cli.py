@@ -103,6 +103,42 @@ def test_cmd_parse_error(tmp_path, capsys):
     assert run_cli("racg", str(path)) == 2
 
 
+def test_cmd_davis_triangle_exits_three(tmp_path, capsys):
+    verts = ["a", "b", "c", "d"]
+    g = coxeter.DefiningGraph.from_edges(
+        verts, [(x, y) for i, x in enumerate(verts) for y in verts[i + 1:]]
+    )
+    path = tmp_path / "k4.json"
+    path.write_text(serialize.dumps(defining_graph_to_json(g)))
+    assert run_cli("davis", str(path)) == 3
+    assert "precondition failed" in capsys.readouterr().err
+
+
+def _demo_complex_json() -> dict:
+    return orbicomplex_to_json(coxeter.davis_orbicomplex(coxeter.demo_defining_graph()))
+
+
+def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
+    data = _demo_complex_json()
+    data["pieces"][0]["boundary"][0][1] = "mirorr"
+    path = tmp_path / "typo.json"
+    path.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(path)) == 3
+    assert "UnknownSegmentKind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("genus", "x"), ("cones", [2.5])], ids=["genus-string", "cone-float"]
+)
+def test_cmd_euler_non_integer_field_exits_two(tmp_path, capsys, field, value):
+    data = _demo_complex_json()
+    data["pieces"][0][field] = value
+    path = tmp_path / "bad_field.json"
+    path.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(path)) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
 def test_cmd_davis_then_euler(demo_graph_file, tmp_path, capsys):
     out_file = tmp_path / "davis.json"
     assert run_cli("davis", demo_graph_file, "--out", str(out_file)) == 0

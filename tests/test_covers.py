@@ -355,8 +355,8 @@ def test_torsion_free_cover_rejects_small_disks():
 # global properties
 
 
-def test_every_constructed_cover_verifies(chain):
-    for name, fm in chain.all_covering_maps():
+def test_every_constructed_cover_verifies(covering_maps):
+    for name, fm in covering_maps:
         rep = verify_covering(fm)
         assert rep.passed, f"{name}: {rep.failures()[:2]}"
         assert euler_characteristic(fm.source) == fm.degree * euler_characteristic(
@@ -364,9 +364,9 @@ def test_every_constructed_cover_verifies(chain):
         ), name
 
 
-def test_singular_functoriality(chain):
+def test_singular_functoriality(covering_maps):
     # the induced graph map of every verified cover is itself a covering
-    for name, fm in chain.all_covering_maps():
+    for name, fm in covering_maps:
         assert covers.graph_covering_violations(fm) == [], name
 
 

@@ -189,6 +189,12 @@ def test_davis_piece_abelianization_crossmodule(chain):
     assert ab == invariants.AbelianInvariants(0, (2,) * 25)
 
 
+def test_davis_refuses_graph_with_triangle():
+    # chi(W) of K_4 is 1/16; the 2-dimensional construction would give 1/2
+    with pytest.raises(coxeter.HasTriangle):
+        davis_orbicomplex(complete_graph(4))
+
+
 # ---------------------------------------------------------------------------
 # one-endedness
 

@@ -103,6 +103,12 @@ def test_validate_wrong_multiplicity():
     assert "WrongMultiplicity" in kinds
 
 
+def test_validate_unknown_segment_kind():
+    c = Orbicomplex(pieces=[Piece(id="p", boundary=(("mirror", "mirorr", "free"),))])
+    kinds = {v.kind for v in validate_complex(c)}
+    assert "UnknownSegmentKind" in kinds
+
+
 # ---------------------------------------------------------------------------
 # Euler characteristics
 

@@ -21,13 +21,14 @@ def test_report_stage_order_and_values(demo_report):
     assert stages["torsion_free"]["towers"] == {"D2(6)": 3, "D2(10)": 7}
 
 
-def test_impossible_second_cover_census_fails_stage_three():
+def test_impossible_second_cover_census_fails_stage_three(monkeypatch):
+    monkeypatch.setattr(pipeline, "SECOND_COVER_CENSUS", {4: 8})
     with pytest.raises(pipeline.DemoFailure) as err:
-        pipeline.run_demo(second_cover_census={4: 8})
+        pipeline.run_demo()
     assert err.value.stage == "second_cover"
 
 
-def test_inverted_pair_predicate_fails_stage_four():
+def test_inverted_pair_predicate_fails_stage_four(monkeypatch):
     from orbicover import invariants
 
     def inverted(sing_a, sing_b, nf_a, nf_b):
@@ -38,8 +39,9 @@ def test_inverted_pair_predicate_fails_stage_four():
             return False
         return invariants.normal_forms_isomorphic(nf_a, nf_b) is None
 
+    monkeypatch.setattr(pipeline, "default_pair_predicate", inverted)
     with pytest.raises(pipeline.DemoFailure) as err:
-        pipeline.run_demo(pair_predicate=inverted)
+        pipeline.run_demo()
     assert err.value.stage == "pair_search"
 
 
