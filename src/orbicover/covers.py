@@ -576,7 +576,6 @@ def davis_double_cover(davis: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
     becomes a disk with n-1 cones whose boundary reads edge(a) then
     edge(z) reversed, double-covering the two glued half-edges.
     """
-    require_valid(davis)
     hub_candidates = [v for v, m in davis.graph.marks.items() if m is None]
     walls = sorted(v for v, m in davis.graph.marks.items() if is_wall(m))
     if len(hub_candidates) != 1 or not walls:
@@ -847,7 +846,6 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     Bivalent graph vertices created by unfolded walls are smoothed away, so
     source edges map to length-two folded paths over them.
     """
-    require_valid(c)
     problems = labeling_violations(c, phi)
     if problems:
         raise NotAHomomorphism("; ".join(problems))
@@ -1175,7 +1173,6 @@ def enumerate_double_covers(
     labeling of the non-forest edges, completed on cones by the first-cone
     rule (parity-0 circles get all-zero cones, parity-1 circles smooth
     exactly the first cone)."""
-    require_valid(c)
     if any(p.has_mirrors for p in c.pieces):
         raise MirrorsPresent("canonical enumeration needs cone pieces only")
     for p in c.pieces:
@@ -1264,7 +1261,6 @@ def torsion_free_cover(c: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
     lifts to four disjoint copies and each disk with k >= 4 order-2 cones
     lifts to the surface S_{k-3,4}, its four boundary circles attached to
     the four copies of the disk's attachment circuit."""
-    require_valid(c)
     for p in c.pieces:
         try:
             k = _require_cone_disk(p)

@@ -21,7 +21,6 @@ from .orbicore import (
     is_wall,
     euler_characteristic,
     marked_graph_isomorphism,
-    require_valid,
     reverse_walk,
     ribbon_neighborhood,
     singular_subspace,
@@ -170,7 +169,6 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
     trivial so the presentation spans all graph components, which keeps the
     presentation complex Euler-equivalent to the orbicomplex.
     """
-    require_valid(c)
     forest = spanning_forest(c.graph)
 
     gens: list[str] = []
@@ -360,7 +358,6 @@ def planar_normal_form(
     """Thicken the singular subspace along a rotation system and match every
     attachment circuit to a boundary face; None when some circuit is not a
     face of the ribbon structure."""
-    require_valid(c)
     rot = rotation if rotation is not None else c.rotation
     if rot is None:
         raise MalformedRotation("no rotation system available")
@@ -501,7 +498,6 @@ def homotopy_equivalence_certificate(
 def torsion_freeness(c: Orbicomplex) -> bool:
     """True iff every local group is trivial: no cones, no mirror segments,
     no marked graph vertices."""
-    require_valid(c)
     if any(p.cones or p.has_mirrors for p in c.pieces):
         return False
     return all(m is None for m in c.graph.marks.values())

@@ -223,6 +223,10 @@ class Orbicomplex:
     optional ``rotation`` is a ribbon structure on the attaching graph
     (vertex -> cyclic dart list), carried by the built-in constructions so
     planar normal forms need no external input.
+
+    The library's constructors return valid complexes and everything else
+    assumes one: a complex built by hand must pass ``require_valid`` first
+    (``serialize.orbicomplex_from_json`` and ``verify_covering`` call it).
     """
 
     pieces: list[Piece] = field(default_factory=list)
@@ -275,11 +279,11 @@ def recompute_multiplicities(c: Orbicomplex) -> None:
 def validate_complex(c: Orbicomplex) -> list[Violation]:
     """Check every type invariant; an empty list means the complex is valid."""
     out: list[Violation] = []
-    seen_ids: set[str] = set()
+    by_id: dict[str, Piece] = {}
     for p in c.pieces:
-        if p.id in seen_ids:
+        if p.id in by_id:
             out.append(Violation("DuplicatePieceId", p.id))
-        seen_ids.add(p.id)
+        by_id.setdefault(p.id, p)
         if p.genus < 0:
             out.append(Violation("NegativeGenus", p.id))
         for m in p.cones:
@@ -302,8 +306,7 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
     for ref, (e, d) in sorted(c.attachments.items()):
         pid, ci, si = ref
         try:
-            p = c.piece(pid)
-            kind = p.boundary[ci][si]
+            kind = by_id[pid].boundary[ci][si]
         except (KeyError, IndexError):
             out.append(Violation("UnknownSegment", str(ref)))
             continue
@@ -401,7 +404,6 @@ def euler_characteristic(c: Orbicomplex) -> Fraction:
     identified by the attaching maps (attached free segments and the
     junction vertices they touch, wall junctions weighted 1/2).
     """
-    require_valid(c)
     chi = graph_euler(c.graph)
     for p in c.pieces:
         chi += piece_orbifold_euler(p)
@@ -427,7 +429,6 @@ def euler_characteristic(c: Orbicomplex) -> Fraction:
 def singular_subspace(c: Orbicomplex) -> MarkedGraph:
     """The attaching graph with multiplicities, wall vertices reported as
     order-2 ramification points."""
-    require_valid(c)
     g = c.graph.copy()
     g.marks = {v: (RAM2 if is_wall(m) else m) for v, m in g.marks.items()}
     return g

@@ -109,8 +109,9 @@ class Tower:
     """The demo's tower of covers, filled floor by floor by tower_stages.
 
     ``family1``/``family2`` and ``candidates`` hold (labeling, cover, map)
-    triples; ``pairs`` indexes into ``candidates``, and Y, Z are the first
-    pair.  The hats are the torsion-free degree-4 covers of Y and Z."""
+    triples and ``normal_forms`` the candidates' planar normal forms;
+    ``pairs`` indexes into both, and Y, Z are the first pair.  The hats are
+    the torsion-free degree-4 covers of Y and Z."""
 
     graph: DefiningGraph
     base: Orbicomplex = None
@@ -121,6 +122,7 @@ class Tower:
     map2: CoveringMap = None
     family2: list = None
     candidates: list = None
+    normal_forms: list = None
     pairs: list[tuple[int, int]] = None
     y: Orbicomplex = None
     y_map: CoveringMap = None
@@ -161,7 +163,7 @@ def tower_stages() -> Iterator[tuple[str, Tower]]:
     t.candidates = [x for x in t.family2 if cone_census(x[1]) == PAIR_TARGET_CENSUS]
     cxs = [cx for _phi, cx, _fm in t.candidates]
     sings = [orbicore.topological_form(orbicore.singular_subspace(cx)) for cx in cxs]
-    nfs = [invariants.planar_normal_form(cx) for cx in cxs]
+    nfs = t.normal_forms = [invariants.planar_normal_form(cx) for cx in cxs]
     t.pairs = [
         (i, j)
         for i, j in itertools.combinations(range(len(cxs)), 2)
@@ -280,7 +282,7 @@ def _pair_search_stage(t: Tower) -> dict:
     ab_y = invariants.abelianization(invariants.fundamental_group_presentation(t.y))
     ab_z = invariants.abelianization(invariants.fundamental_group_presentation(t.z))
     _check("pair_search", ab_y == ab_z, f"abelianizations differ: {ab_y} vs {ab_z}")
-    nf = invariants.planar_normal_form(t.y)
+    nf = t.normal_forms[t.pairs[0][0]]
     _check(
         "pair_search",
         sorted(nf.components) == [(0, 6)],

@@ -10,7 +10,7 @@ from typing import Any
 from .coxeter import DefiningGraph, GroupPresentation
 from .covers import CoverReport, CoveringMap
 from .invariants import AbelianInvariants
-from .orbicore import MarkedGraph, Orbicomplex, Piece, RAM2, is_wall, wall_mark
+from .orbicore import MarkedGraph, Orbicomplex, Piece, RAM2, is_wall, require_valid, wall_mark
 
 
 class SchemaError(ValueError):
@@ -28,6 +28,27 @@ def _int(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what}: expected an integer, got {value!r}")
     return value
+
+
+def _obj(value, what: str) -> dict:
+    """A JSON object, exactly."""
+    if type(value) is not dict:
+        raise SchemaError(f"{what}: expected an object, got {value!r}")
+    return value
+
+
+def _list(value, what: str, length: int | None = None) -> list:
+    """A JSON array, exactly; of ``length`` items when that is given."""
+    if type(value) is not list:
+        raise SchemaError(f"{what}: expected a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{what}: expected {length} items, got {len(value)}")
+    return value
+
+
+def _rows(value, what: str, width: int) -> list[list]:
+    """A JSON array of arrays of ``width`` items each."""
+    return [_list(row, what, width) for row in _list(value, what)]
 
 
 def _segment_ref(data: dict) -> tuple[str, int, int]:
@@ -109,13 +130,14 @@ def marked_graph_to_json(g: MarkedGraph) -> dict:
 
 
 def marked_graph_from_json(data: dict) -> MarkedGraph:
+    data = _obj(data, "marked graph")
     g = MarkedGraph()
-    for vd in _need(data, "vertices"):
+    for vd in _list(_need(data, "vertices"), "vertices"):
+        vd = _obj(vd, "vertex")
         g.marks[_need(vd, "id")] = _mark_from_json(vd.get("mark"))
-    for ed in _need(data, "edges"):
-        ends = _need(ed, "ends")
-        if len(ends) != 2:
-            raise SchemaError(f"edge {ed.get('id')!r}: bad ends")
+    for ed in _list(_need(data, "edges"), "edges"):
+        ed = _obj(ed, "edge")
+        ends = _list(_need(ed, "ends"), f"edge {ed.get('id')!r} ends", 2)
         g.edges[_need(ed, "id")] = (ends[0], ends[1])
         g.multiplicity[ed["id"]] = _int(ed.get("multiplicity", 0), "edge multiplicity")
     return g
@@ -134,11 +156,14 @@ def piece_to_json(p: Piece) -> dict:
 
 
 def piece_from_json(data: dict) -> Piece:
+    data = _obj(data, "piece")
     return Piece(
         id=_need(data, "id"),
         genus=_int(data.get("genus", 0), "genus"),
-        boundary=tuple(tuple(c) for c in data.get("boundary", [])),
-        cones=tuple(_int(m, "cone order") for m in data.get("cones", [])),
+        boundary=tuple(
+            tuple(_list(c, "boundary circle")) for c in _list(data.get("boundary", []), "boundary")
+        ),
+        cones=tuple(_int(m, "cone order") for m in _list(data.get("cones", []), "cones")),
     )
 
 
@@ -151,7 +176,10 @@ def rotation_to_json(rotation) -> Any:
 def rotation_from_json(data) -> Any:
     if data is None:
         return None
-    return {v: [(e, _int(end, "rotation end")) for e, end in cyc] for v, cyc in data.items()}
+    return {
+        v: [(e, _int(end, "rotation end")) for e, end in _rows(cyc, "rotation dart", 2)]
+        for v, cyc in _obj(data, "rotation").items()
+    }
 
 
 def orbicomplex_to_json(c: Orbicomplex) -> dict:
@@ -173,17 +201,22 @@ def orbicomplex_to_json(c: Orbicomplex) -> dict:
 
 
 def orbicomplex_from_json(data: dict) -> Orbicomplex:
-    pieces = [piece_from_json(pd) for pd in _need(data, "pieces")]
+    """The complex ``data`` describes; InvalidComplex unless it is valid."""
+    data = _obj(data, "orbicomplex")
+    pieces = [piece_from_json(pd) for pd in _list(_need(data, "pieces"), "pieces")]
     graph = marked_graph_from_json(_need(data, "graph"))
     attachments = {}
-    for ad in data.get("attachments", []):
+    for ad in _list(data.get("attachments", []), "attachments"):
+        ad = _obj(ad, "attachment")
         attachments[_segment_ref(ad)] = (_need(ad, "edge"), _int(_need(ad, "direction"), "direction"))
-    return Orbicomplex(
+    c = Orbicomplex(
         pieces=pieces,
         graph=graph,
         attachments=attachments,
         rotation=rotation_from_json(data.get("rotation")),
     )
+    require_valid(c)
+    return c
 
 
 # --- covering maps ---------------------------------------------------------
@@ -220,27 +253,32 @@ def covering_map_to_json(f: CoveringMap) -> dict:
 
 
 def covering_map_from_json(data: dict) -> CoveringMap:
+    data = _obj(data, "covering map")
     f = CoveringMap(
         source=orbicomplex_from_json(_need(data, "source")),
         target=orbicomplex_from_json(_need(data, "target")),
         degree=_int(_need(data, "degree"), "degree"),
-        vertex_map=dict(data.get("vertex_map", {})),
+        vertex_map=dict(_obj(data.get("vertex_map", {}), "vertex_map")),
         edge_map={
-            e: [(te, _int(d, "edge direction")) for te, d in path]
-            for e, path in data.get("edge_map", {}).items()
+            e: [(te, _int(d, "edge direction")) for te, d in _rows(path, "edge path step", 2)]
+            for e, path in _obj(data.get("edge_map", {}), "edge_map").items()
         },
-        piece_map={p: (q, _int(l, "local degree")) for p, (q, l) in data.get("piece_map", {}).items()},
     )
-    for sd in data.get("segment_map", []):
+    for p, value in _obj(data.get("piece_map", {}), "piece_map").items():
+        q, l = _list(value, "piece_map value", 2)
+        f.piece_map[p] = (q, _int(l, "local degree"))
+    for sd in _list(data.get("segment_map", []), "segment_map"):
+        sd = _obj(sd, "segment_map entry")
         f.segment_map[_segment_ref(sd)] = [
             (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
-            for a, b, d in sd["steps"]
+            for a, b, d in _rows(_need(sd, "steps"), "segment step", 3)
         ]
-    for cd in data.get("cone_fibers", []):
+    for cd in _list(data.get("cone_fibers", []), "cone_fibers"):
+        cd = _obj(cd, "cone_fibers entry")
         key = (_need(cd, "piece"), _int(_need(cd, "cone"), "cone index"))
         f.cone_fibers[key] = [
             ("cone", tok[1], _int(tok[2], "cone preimage")) if tok[0] == "cone" else ("smooth", tok[1], tok[2])
-            for tok in cd["preimages"]
+            for tok in _rows(_need(cd, "preimages"), "cone preimage", 3)
         ]
     return f
 

@@ -128,15 +128,28 @@ def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("genus", "x"), ("cones", [2.5])], ids=["genus-string", "cone-float"]
+    "path, value, message",
+    [
+        (("pieces", 0, "genus"), "x", "expected an integer"),
+        (("pieces", 0, "cones"), [2.5], "expected an integer"),
+        (("pieces", 0, "boundary"), "free", "expected a list"),
+        (("attachments", 0), 5, "expected an object"),
+        (("graph", "edges", 0, "ends"), 5, "expected a list"),
+    ],
+    ids=["genus-string", "cone-float", "boundary-string", "attachment-number", "ends-number"],
 )
-def test_cmd_euler_non_integer_field_exits_two(tmp_path, capsys, field, value):
+def test_cmd_euler_malformed_field_exits_two(tmp_path, capsys, path, value, message):
     data = _demo_complex_json()
-    data["pieces"][0][field] = value
-    path = tmp_path / "bad_field.json"
-    path.write_text(serialize.dumps(data))
-    assert run_cli("euler", str(path)) == 2
-    assert "expected an integer" in capsys.readouterr().err
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    bad_file = tmp_path / "bad_field.json"
+    bad_file.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(bad_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
 
 
 def test_cmd_davis_then_euler(demo_graph_file, tmp_path, capsys):
@@ -176,6 +189,19 @@ def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
     bad_file.write_text(serialize.dumps(data))
     assert run_cli("verify", str(bad_file)) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["piece-map-number", "segment-without-steps"])
+def test_cmd_verify_malformed_map_exits_two(chain, tmp_path, capsys, case):
+    data = json.loads(serialize.dumps(covering_map_to_json(chain.map1)))
+    if case == "piece-map-number":
+        data["piece_map"][next(iter(data["piece_map"]))] = 5
+    else:
+        del data["segment_map"][0]["steps"]
+    bad_file = tmp_path / "bad_cover.json"
+    bad_file.write_text(serialize.dumps(data))
+    assert run_cli("verify", str(bad_file)) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_cmd_covers_enumeration(chain, tmp_path, capsys):

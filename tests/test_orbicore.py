@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from orbicover import orbicore
+from orbicover import covers, invariants, orbicore, serialize
 from orbicover.orbicore import (
     FREE,
     MIRROR,
@@ -63,8 +64,41 @@ def tripod(mult=4):
 # validation
 
 
-def test_validate_davis_complex_clean(chain):
-    assert validate_complex(chain.base) == []
+def test_validate_davis_complex_clean(chain, covering_maps):
+    tower = {"base": chain.base} | {name: fm.source for name, fm in covering_maps}
+    assert {name: validate_complex(c) for name, c in tower.items()} == {name: [] for name in tower}
+
+
+def test_invariants_and_builders_do_not_revalidate(chain, monkeypatch):
+    calls = []
+
+    def counting_validate(c):
+        calls.append(c)
+        return []
+
+    monkeypatch.setattr(orbicore, "validate_complex", counting_validate)
+    y = chain.y
+    euler_characteristic(y)
+    singular_subspace(y)
+    invariants.fundamental_group_presentation(y)
+    invariants.planar_normal_form(y)
+    invariants.torsion_freeness(y)
+    covers.davis_double_cover(chain.base)
+    covers.double_cover(chain.cover1, chain.family1[0][0])
+    covers.enumerate_double_covers(chain.cover1)
+    covers.torsion_free_cover(y)
+    assert calls == []
+
+
+def test_parse_refuses_invalid_complex():
+    c = Orbicomplex(
+        pieces=[disk_with_cones("d", 1)],
+        graph=MarkedGraph(),
+        attachments={("d", 0, 0): ("nope", 1)},
+    )
+    data = json.loads(serialize.dumps(serialize.orbicomplex_to_json(c)))
+    with pytest.raises(orbicore.InvalidComplex, match="DanglingAttachment"):
+        serialize.orbicomplex_from_json(data)
 
 
 def test_validate_dangling_attachment(chain):
@@ -143,16 +177,6 @@ def test_euler_oracle_agrees_on_all_built_complexes(chain):
     complexes += [cx for _p, cx, _f in chain.family2]
     for c in complexes:
         assert euler_characteristic(c) == weighted_cell_euler(c)
-
-
-def test_euler_requires_valid_complex():
-    c = Orbicomplex(
-        pieces=[disk_with_cones("d", 1)],
-        graph=MarkedGraph(),
-        attachments={("d", 0, 0): ("nope", 1)},
-    )
-    with pytest.raises(orbicore.InvalidComplex):
-        euler_characteristic(c)
 
 
 # ---------------------------------------------------------------------------
