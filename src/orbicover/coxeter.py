@@ -18,6 +18,7 @@ from .orbicore import (
     OrbicoverError,
     Piece,
     recompute_multiplicities,
+    require_valid,
     wall_mark,
 )
 
@@ -193,7 +194,9 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
     The polygon of a branch from a to z (a <= z) has boundary
     [free, mirror * n, free]: the first free segment runs hub -> wall(a),
     the mirror chain follows the branch path, the last runs wall(z) -> hub.
-    Graphs with a triangle are refused (HasTriangle).
+    Graphs with a triangle are refused (HasTriangle). The defining graph
+    is outside input, so the complex is validated once here; the covers
+    built from it are valid by construction.
     """
     branches = branch_decomposition(g)
     for a, b in g.sorted_edges():
@@ -225,6 +228,7 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
 
     c = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
     recompute_multiplicities(c)
+    require_valid(c)
     return c
 
 

@@ -226,7 +226,8 @@ class Orbicomplex:
 
     The library's constructors return valid complexes and everything else
     assumes one: a complex built by hand must pass ``require_valid`` first
-    (``serialize.orbicomplex_from_json`` and ``verify_covering`` call it).
+    (``coxeter.davis_orbicomplex``, ``serialize.orbicomplex_from_json`` and
+    ``verify_covering`` call it).
     """
 
     pieces: list[Piece] = field(default_factory=list)

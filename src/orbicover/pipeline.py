@@ -201,7 +201,6 @@ def _base_stage(t: Tower) -> dict:
     )
     _check("base", one_ended, "defining graph should give a one-ended group")
     base = t.base
-    _check("base", not orbicore.validate_complex(base), "base complex invalid")
     chi = orbicore.euler_characteristic(base)
     _check("base", chi == Fraction(-9, 2), f"chi(base) = {chi}, expected -9/2")
     sing = orbicore.topological_form(orbicore.singular_subspace(base))

@@ -189,6 +189,21 @@ def test_davis_piece_abelianization_crossmodule(chain):
     assert ab == invariants.AbelianInvariants(0, (2,) * 25)
 
 
+def test_davis_validates_what_it_builds(monkeypatch):
+    # the defining graph is outside input: the built complex goes through
+    # validate_complex once, and a violation surfaces as InvalidComplex
+    calls = []
+
+    def failing_validate(c):
+        calls.append(c)
+        return [orbicore.Violation("Planted", "refused")]
+
+    monkeypatch.setattr(orbicore, "validate_complex", failing_validate)
+    with pytest.raises(orbicore.InvalidComplex, match="Planted"):
+        davis_orbicomplex(theta_defining_graph(3))
+    assert len(calls) == 1
+
+
 def test_davis_refuses_graph_with_triangle():
     # chi(W) of K_4 is 1/16; the 2-dimensional construction would give 1/2
     with pytest.raises(coxeter.HasTriangle):
