@@ -147,9 +147,7 @@ def cmd_compare(args) -> int:
     c2 = serialize.orbicomplex_from_json(_load(args.b))
     rot1 = rot2 = None
     if args.rotations:
-        data = _load(args.rotations)
-        rot1 = serialize.rotation_from_json(data.get("a"))
-        rot2 = serialize.rotation_from_json(data.get("b"))
+        rot1, rot2 = serialize.rotation_pair_from_json(_load(args.rotations))
     report = invariants.compare_report(c1, c2, rot1, rot2)
     if args.json:
         _write(serialize.dumps(serialize.compare_report_to_json(report)), args.out)

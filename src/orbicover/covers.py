@@ -10,6 +10,7 @@ segments map to segment paths, and cone fibers are listed explicitly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -141,9 +142,9 @@ def identity_covering(c: Orbicomplex) -> CoveringMap:
 # verification
 
 
-def _check_references(f: CoveringMap) -> None:
-    src_pieces = set(f.source.piece_ids())
-    tgt_pieces = set(f.target.piece_ids())
+def _check_references(
+    f: CoveringMap, src_pieces: dict[str, Piece], tgt_pieces: dict[str, Piece]
+) -> None:
     for v, w in f.vertex_map.items():
         if v not in f.source.graph.marks or w not in f.target.graph.marks:
             raise MismatchedComplexes(f"vertex_map {v!r} -> {w!r}")
@@ -157,7 +158,7 @@ def _check_references(f: CoveringMap) -> None:
         if p not in src_pieces or q not in tgt_pieces:
             raise MismatchedComplexes(f"piece_map {p!r} -> {q!r}")
     for (q, j) in f.cone_fibers:
-        if q not in tgt_pieces or j >= len(f.target.piece(q).cones):
+        if q not in tgt_pieces or not 0 <= j < len(tgt_pieces[q].cones):
             raise MismatchedComplexes(f"cone_fibers key ({q!r}, {j})")
 
 
@@ -225,6 +226,7 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
     if out:
         return out
 
+    tgt_darts = tgt.darts_by_vertex()
     fibers: dict[str, list[tuple]] = {w: [] for w in tgt.vertices()}
     for key, star in stars.items():
         if key[0] == "v":
@@ -241,9 +243,9 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
             out.append(f"{key}: local order {order} does not divide target order {tgt_order}")
             continue
         local_degree = tgt_order // order
-        w_darts = [d for d in tgt.darts() if tgt.dart_tail(d) == w]
+        w_darts = tgt_darts[w]
         for d in w_darts:
-            hits = sum(1 for x in star if x == d)
+            hits = star.count(d)
             if hits != local_degree:
                 out.append(f"{key}: target dart {d} covered {hits} times, expected {local_degree}")
         if len(star) != local_degree * len(w_darts):
@@ -256,20 +258,18 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
         if total != f.degree:
             out.append(f"vertex {w}: fiber sum {total} != degree {f.degree}")
     # every target edge covered exactly `degree` times
+    covered = Counter(te for path in f.edge_map.values() for te, _d in path)
     for te in tgt.edge_ids():
-        hits = sum(
-            sum(1 for (x, _d) in path if x == te) for path in f.edge_map.values()
-        )
+        hits = covered[te]
         if hits != f.degree:
             out.append(f"edge {te}: covered {hits} times, expected {f.degree}")
     return out
 
 
-def _piece_boundary_violations(f: CoveringMap, pid: str) -> list[str]:
+def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piece) -> list[str]:
     out: list[str] = []
-    src_piece = f.source.piece(pid)
-    tgt_pid, local_degree = f.piece_map[pid]
-    tgt_piece = f.target.piece(tgt_pid)
+    pid, tgt_pid = src_piece.id, tgt_piece.id
+    local_degree = f.piece_map[pid][1]
 
     coverage: dict[tuple[int, int], int] = {
         (ci, si): 0 for ci, si, _k in tgt_piece.segments()
@@ -288,7 +288,8 @@ def _piece_boundary_violations(f: CoveringMap, pid: str) -> list[str]:
                 return out
             for step in path:
                 tci, tsi, d = step
-                if tci >= len(tgt_piece.boundary) or tsi >= len(tgt_piece.boundary[tci]):
+                if not (0 <= tci < len(tgt_piece.boundary)
+                        and 0 <= tsi < len(tgt_piece.boundary[tci])):
                     out.append(f"segment {ref}: step {step} out of range")
                     return out
                 tgt_circles.add(tci)
@@ -368,7 +369,9 @@ def verify_covering(f: CoveringMap) -> CoverReport:
     """
     require_valid(f.source)
     require_valid(f.target)
-    _check_references(f)
+    src = {p.id: p for p in f.source.pieces}
+    tgt = {q.id: q for q in f.target.pieces}
+    _check_references(f, src, tgt)
     checks: list[CheckResult] = []
 
     def record(condition: str, violations: list[str]) -> None:
@@ -401,7 +404,7 @@ def verify_covering(f: CoveringMap) -> CoverReport:
             continue
         q, local_degree = f.piece_map[p.id]
         lhs = piece_orbifold_euler(p)
-        rhs = local_degree * piece_orbifold_euler(f.target.piece(q))
+        rhs = local_degree * piece_orbifold_euler(tgt[q])
         if lhs != rhs:
             euler_violations.append(f"piece {p.id}: chi {lhs} != {local_degree} * chi({q})")
     record("piece_euler", euler_violations)
@@ -410,7 +413,7 @@ def verify_covering(f: CoveringMap) -> CoverReport:
     boundary_violations = []
     for p in f.source.pieces:
         if p.id in f.piece_map:
-            boundary_violations.extend(_piece_boundary_violations(f, p.id))
+            boundary_violations.extend(_piece_boundary_violations(f, p, tgt[f.piece_map[p.id][0]]))
     record("boundary", boundary_violations)
 
     # (4) cone fibers
@@ -426,11 +429,10 @@ def verify_covering(f: CoveringMap) -> CoverReport:
             for tok in tokens:
                 if tok[0] == "cone":
                     _kind, spid, sj = tok
-                    sp = f.source.piece(spid)
-                    if sj >= len(sp.cones):
+                    if spid not in src or not 0 <= sj < len(src[spid].cones):
                         cone_violations.append(f"cone ({q.id},{j}): bad token {tok}")
                         continue
-                    mm = sp.cones[sj]
+                    mm = src[spid].cones[sj]
                     if m % mm != 0:
                         cone_violations.append(
                             f"cone ({q.id},{j}): order {mm} does not divide {m}"
@@ -462,9 +464,9 @@ def verify_covering(f: CoveringMap) -> CoverReport:
         # by the chi bookkeeping and are not listed in cone_fibers
         if spid not in f.piece_map:
             continue
-        if f.target.piece(f.piece_map[spid][0]).has_mirrors:
+        if tgt[f.piece_map[spid][0]].has_mirrors:
             continue
-        n = len(f.source.piece(spid).cones)
+        n = len(src[spid].cones)
         if len(seen) != n:
             cone_violations.append(f"piece {spid}: {n - len(seen)} source cones unaccounted")
     record("cone_fibers", cone_violations)
@@ -680,19 +682,18 @@ class TwoTorsionLabeling:
         )
 
 
-def _circle_edge_parity(c: Orbicomplex, phi: TwoTorsionLabeling, pid: str, ci: int) -> int:
+def _circle_edge_parity(c: Orbicomplex, phi: TwoTorsionLabeling, p: Piece, ci: int) -> int:
     parity = 0
-    for si, kind in enumerate(c.piece(pid).boundary[ci]):
+    for si, kind in enumerate(p.boundary[ci]):
         if kind == FREE:
-            att = c.attachments.get((pid, ci, si))
+            att = c.attachments.get((p.id, ci, si))
             if att is not None:
                 parity ^= phi.edge(att[0])
     return parity
 
 
-def _mirror_wall_pairs(c: Orbicomplex, pid: str) -> list[tuple[SegRef, str]]:
+def _mirror_wall_pairs(c: Orbicomplex, p: Piece) -> list[tuple[SegRef, str]]:
     """(mirror segment, wall label) at each attached mirror|free junction."""
-    p = c.piece(pid)
     out = []
     for ci, circle in enumerate(p.boundary):
         t = len(circle)
@@ -702,20 +703,20 @@ def _mirror_wall_pairs(c: Orbicomplex, pid: str) -> list[tuple[SegRef, str]]:
             for nb in ((si - 1) % t, (si + 1) % t):
                 if circle[nb] != FREE:
                     continue
-                ends = c.seg_endpoints((pid, ci, nb))
+                ends = c.seg_endpoints((p.id, ci, nb))
                 if ends is None:
                     continue
                 junction_vertex = ends[1] if nb == (si - 1) % t else ends[0]
                 mark = c.graph.marks.get(junction_vertex)
                 if is_wall(mark):
-                    out.append(((pid, ci, si), mark[1]))
+                    out.append(((p.id, ci, si), mark[1]))
     return out
 
 
-def _fully_attached(c: Orbicomplex, pid: str) -> bool:
+def _fully_attached(c: Orbicomplex, p: Piece) -> bool:
     return all(
-        (pid, ci, si) in c.attachments
-        for ci, si, kind in c.piece(pid).segments()
+        (p.id, ci, si) in c.attachments
+        for ci, si, kind in p.segments()
         if kind == FREE
     )
 
@@ -729,50 +730,23 @@ def labeling_violations(c: Orbicomplex, phi: TwoTorsionLabeling) -> list[str]:
     out = []
     for p in c.pieces:
         if p.has_mirrors:
-            for ref, label in _mirror_wall_pairs(c, p.id):
+            for ref, label in _mirror_wall_pairs(c, p):
                 if phi.mirror(ref) != phi.wall(label):
                     out.append(f"mirror {ref} disagrees with wall {label!r}")
-            if _fully_attached(c, p.id):
-                parity = _circle_edge_parity(c, phi, p.id, 0)
+            if _fully_attached(c, p):
+                parity = _circle_edge_parity(c, phi, p, 0)
                 if parity != 0:
                     out.append(f"polygon {p.id}: boundary edge word has parity 1")
-        elif _fully_attached(c, p.id):
+        elif _fully_attached(c, p):
             total = 0
             for ci in range(len(p.boundary)):
-                total ^= _circle_edge_parity(c, phi, p.id, ci)
+                total ^= _circle_edge_parity(c, phi, p, ci)
             cone_sum = 0
             for j in range(len(p.cones)):
                 cone_sum ^= phi.cone(p.id, j)
             if total != cone_sum:
                 out.append(f"piece {p.id}: boundary parity {total} != cone parity {cone_sum}")
     return out
-
-
-def spanning_forest(g: MarkedGraph) -> set[str]:
-    """Deterministic BFS forest from the least vertex of each component."""
-    forest: set[str] = set()
-    visited: set[str] = set()
-    incident: dict[str, list[str]] = {v: [] for v in g.marks}
-    for e in g.edge_ids():
-        u, v = g.edges[e]
-        incident[u].append(e)
-        if v != u:
-            incident[v].append(e)
-    for root in g.vertices():
-        if root in visited:
-            continue
-        visited.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for e in incident[v]:
-                u, w = g.edges[e]
-                other = w if v == u else u
-                if other not in visited:
-                    visited.add(other)
-                    forest.add(e)
-                    queue.append(other)
-    return forest
 
 
 def all_ones_labeling(davis: Orbicomplex) -> TwoTorsionLabeling:
@@ -856,7 +830,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             _require_polygon(p)
         else:
             _require_cone_disk(p)
-        if not _fully_attached(c, p.id):
+        if not _fully_attached(c, p):
             raise UnsupportedPiece(f"piece {p.id} must be fully attached")
 
     names = _lift_vertex_names(c, phi)
@@ -1038,12 +1012,14 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
 
 
 def _merge_circle_through(
-    f: CoveringMap, pid: str, ci: int, v: str, remap_att
+    f: CoveringMap, k: int, ci: int, v: str, remap_att
 ) -> bool:
-    """Merge every consecutive attached segment pair of one circle whose
-    shared junction sits at graph vertex v; returns True if anything merged."""
+    """Merge every consecutive attached segment pair of circle ci of piece
+    number k whose shared junction sits at graph vertex v; returns True if
+    anything merged."""
     c = f.source
-    p = c.piece(pid)
+    p = c.pieces[k]
+    pid = p.id
     circle = p.boundary[ci]
     t = len(circle)
     starts = set()
@@ -1086,7 +1062,7 @@ def _merge_circle_through(
     new_boundary = tuple(
         tuple(new_kinds) if cj == ci else circ for cj, circ in enumerate(p.boundary)
     )
-    c.pieces[c.pieces.index(p)] = Piece(pid, p.genus, new_boundary, p.cones)
+    c.pieces[k] = Piece(pid, p.genus, new_boundary, p.cones)
     for s2 in range(len(new_kinds)):
         if new_steps[s2] is not None:
             f.segment_map[(pid, ci, s2)] = new_steps[s2]
@@ -1101,23 +1077,23 @@ def _smooth_unfolded_walls(f: CoveringMap) -> None:
     that cross them; the merged source edges map to folded length-2 paths."""
     c = f.source
     while True:
+        darts = c.graph.darts_by_vertex()
         candidates = [
             v
             for v in c.graph.vertices()
             if c.graph.marks[v] is None
             and v.endswith(".m")
-            and c.graph.valence(v) == 2
-            and len(c.graph.incident(v)) == 2
+            and len(darts[v]) == 2
+            and darts[v][0][0] != darts[v][1][0]  # two edges, not a loop
         ]
         if not candidates:
             return
         v = candidates[0]
-        e1, e2 = c.graph.incident(v)
-        a = c.graph.edges[e1][0] if c.graph.edges[e1][1] == v else c.graph.edges[e1][1]
-        b = c.graph.edges[e2][0] if c.graph.edges[e2][1] == v else c.graph.edges[e2][1]
+        (e1, i1), (e2, i2) = darts[v]
+        a, b = c.graph.edges[e1][1 - i1], c.graph.edges[e2][1 - i2]
         new_edge = f"c.{v[:-len('.m')]}"
-        d1 = 1 if c.graph.edges[e1][1] == v else -1   # e1 traversed a -> v
-        d2 = 1 if c.graph.edges[e2][0] == v else -1   # e2 traversed v -> b
+        d1 = 1 if i1 == 1 else -1   # e1 traversed a -> v
+        d2 = 1 if i2 == 0 else -1   # e2 traversed v -> b
         path1 = f.edge_map[e1] if d1 == 1 else reverse_walk(f.edge_map[e1])
         path2 = f.edge_map[e2] if d2 == 1 else reverse_walk(f.edge_map[e2])
         c.graph.edges[new_edge] = (a, b)
@@ -1132,9 +1108,9 @@ def _smooth_unfolded_walls(f: CoveringMap) -> None:
             return att
 
         # merge segments while the old edges are still present for lookups
-        for p in list(c.pieces):
+        for k, p in enumerate(c.pieces):
             for ci in range(len(p.boundary)):
-                while _merge_circle_through(f, p.id, ci, v, remap_att):
+                while _merge_circle_through(f, k, ci, v, remap_att):
                     pass
         for ref, att in list(c.attachments.items()):
             c.attachments[ref] = remap_att(att)
@@ -1177,7 +1153,7 @@ def enumerate_double_covers(
         raise MirrorsPresent("canonical enumeration needs cone pieces only")
     for p in c.pieces:
         _require_cone_disk(p)
-    forest = spanning_forest(c.graph)
+    forest = c.graph.spanning_forest()
     free_edges = [e for e in c.graph.edge_ids() if e not in forest]
     out = []
     for bits in itertools.product((0, 1), repeat=len(free_edges)):
@@ -1185,7 +1161,7 @@ def enumerate_double_covers(
             continue
         phi = TwoTorsionLabeling(edges=dict(zip(free_edges, bits)))
         for p in c.pieces:
-            if _circle_edge_parity(c, phi, p.id, 0) == 1:
+            if _circle_edge_parity(c, phi, p, 0) == 1:
                 phi.cones[(p.id, 0)] = 1
         cover, f = double_cover(c, phi)
         out.append((phi, cover, f))
@@ -1268,7 +1244,7 @@ def torsion_free_cover(c: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
             raise UnsupportedPiece(f"piece {p.id} is not a cone disk") from exc
         if k < 4:
             raise UnsupportedPiece(f"piece {p.id}: needs >= 4 cones, has {k}")
-        if not _fully_attached(c, p.id):
+        if not _fully_attached(c, p):
             raise UnsupportedPiece(f"piece {p.id}: boundary circle not fully attached")
 
     graph = MarkedGraph()

@@ -9,13 +9,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coxeter import GroupPresentation, Word
-from .covers import spanning_forest
 from .orbicore import (
     FREE,
     MIRROR,
     MalformedRotation,
     Orbicomplex,
     OrbicoverError,
+    Piece,
     _canonical_cycle,
     attachment_circuit,
     is_wall,
@@ -169,7 +169,7 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
     trivial so the presentation spans all graph components, which keeps the
     presentation complex Euler-equivalent to the orbicomplex.
     """
-    forest = spanning_forest(c.graph)
+    forest = c.graph.spanning_forest()
 
     gens: list[str] = []
     relators: list[Word] = []
@@ -219,10 +219,9 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
         parent[ry] = rx
         return True
 
-    def circle_anchor_comp(pid: str, ci: int) -> Optional[int]:
-        p = c.piece(pid)
+    def circle_anchor_comp(p: Piece, ci: int) -> Optional[int]:
         for si in range(len(p.boundary[ci])):
-            ends = c.seg_endpoints((pid, ci, si))
+            ends = c.seg_endpoints((p.id, ci, si))
             if ends is not None:
                 return comp_of[ends[0]]
         return None
@@ -231,7 +230,7 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
     for pi, p in enumerate(sorted(c.pieces, key=lambda q: q.id)):
         node = len(comps) + pi
         for ci in range(len(p.boundary)):
-            a = circle_anchor_comp(p.id, ci)
+            a = circle_anchor_comp(p, ci)
             if a is None:
                 continue
             if union(node, a) and ci > 0:
@@ -377,7 +376,7 @@ def planar_normal_form(
     for p in sorted(c.pieces, key=lambda q: q.id):
         faces = []
         for ci in range(len(p.boundary)):
-            walk = attachment_circuit(c, p.id, ci)
+            walk = attachment_circuit(c, p, ci)
             if walk is None:
                 raise MalformedRotation(
                     f"piece {p.id} circle {ci} is not a fully attached free circle"

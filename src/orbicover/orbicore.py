@@ -10,6 +10,7 @@ marked graph.  Everything is exact: Euler characteristics are
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -167,15 +168,6 @@ class MarkedGraph:
     def copy(self) -> "MarkedGraph":
         return MarkedGraph(dict(self.marks), dict(self.edges), dict(self.multiplicity))
 
-    def valence(self, v: str) -> int:
-        n = 0
-        for u, w in self.edges.values():
-            n += (u == v) + (w == v)
-        return n
-
-    def incident(self, v: str) -> list[str]:
-        return sorted(e for e, (u, w) in self.edges.items() if v in (u, w))
-
     def darts(self) -> list[tuple[str, int]]:
         """All darts (edge, end); dart (e, i) is traversed ends[i] -> ends[1-i]."""
         return [(e, i) for e in self.edge_ids() for i in (0, 1)]
@@ -184,24 +176,44 @@ class MarkedGraph:
         e, i = d
         return self.edges[e][i]
 
-    def components(self) -> list[set[str]]:
+    def darts_by_vertex(self) -> dict[str, list[tuple[str, int]]]:
+        """The darts leaving each vertex, in dart order; a loop leaves its
+        vertex twice.  Built on each call, so in-place edits need no care."""
+        out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices()}
+        for d in self.darts():
+            out.setdefault(self.dart_tail(d), []).append(d)
+        return out
+
+    def _search(self) -> tuple[list[set[str]], set[str]]:
+        """Breadth-first search from the least vertex of each component,
+        darts in order: the components and the edges of the search forest."""
+        darts = self.darts_by_vertex()
         seen: set[str] = set()
-        comps = []
+        comps: list[set[str]] = []
+        forest: set[str] = set()
         for root in self.vertices():
             if root in seen:
                 continue
+            seen.add(root)
             comp = {root}
-            queue = [root]
+            queue = deque([root])
             while queue:
-                v = queue.pop()
-                for u, w in self.edges.values():
-                    for a, b in ((u, w), (w, u)):
-                        if a == v and b not in comp:
-                            comp.add(b)
-                            queue.append(b)
-            seen |= comp
+                for e, i in darts[queue.popleft()]:
+                    w = self.edges[e][1 - i]
+                    if w not in seen:
+                        seen.add(w)
+                        comp.add(w)
+                        forest.add(e)
+                        queue.append(w)
             comps.append(comp)
-        return comps
+        return comps, forest
+
+    def components(self) -> list[set[str]]:
+        return self._search()[0]
+
+    def spanning_forest(self) -> set[str]:
+        """Deterministic BFS forest from the least vertex of each component."""
+        return self._search()[1]
 
     def induced(self, verts: set[str]) -> "MarkedGraph":
         return MarkedGraph(
@@ -240,9 +252,6 @@ class Orbicomplex:
             if p.id == pid:
                 return p
         raise KeyError(pid)
-
-    def piece_ids(self) -> list[str]:
-        return [p.id for p in self.pieces]
 
     def census(self) -> dict[tuple, int]:
         out: dict[tuple, int] = {}
@@ -306,11 +315,11 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
     counted = {e: 0 for e in c.graph.edges}
     for ref, (e, d) in sorted(c.attachments.items()):
         pid, ci, si = ref
-        try:
-            kind = by_id[pid].boundary[ci][si]
-        except (KeyError, IndexError):
+        boundary = by_id[pid].boundary if pid in by_id else ()
+        if not (0 <= ci < len(boundary) and 0 <= si < len(boundary[ci])):
             out.append(Violation("UnknownSegment", str(ref)))
             continue
+        kind = boundary[ci][si]
         if kind == MIRROR:
             out.append(Violation("MirrorAttached", str(ref)))
             continue
@@ -447,19 +456,16 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
     changed = True
     while changed:
         changed = False
+        darts = g.darts_by_vertex()
         for v in g.vertices():
-            if g.marks[v] is not None:
+            if g.marks[v] is not None or len(darts[v]) != 2:
                 continue
-            inc = [e for e, (a, b) in g.edges.items() if v in (a, b)]
-            if len(inc) != 2:
-                continue
-            e1, e2 = sorted(inc)
-            if e1 == e2 or g.edges[e1][0] == g.edges[e1][1] or g.edges[e2][0] == g.edges[e2][1]:
-                continue  # loops at v are not suppressible
+            (e1, i1), (e2, i2) = darts[v]
+            if e1 == e2:
+                continue  # a loop at v is not suppressible
             if g.multiplicity.get(e1, 0) != g.multiplicity.get(e2, 0):
                 continue
-            a = g.edges[e1][0] if g.edges[e1][1] == v else g.edges[e1][1]
-            b = g.edges[e2][0] if g.edges[e2][1] == v else g.edges[e2][1]
+            a, b = g.edges[e1][1 - i1], g.edges[e2][1 - i2]
             mult = g.multiplicity.get(e1, 0)
             del g.edges[e1], g.edges[e2]
             g.multiplicity.pop(e2, None)
@@ -475,24 +481,27 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
 # marked graph isomorphism
 
 
-def _edges_between(g: MarkedGraph, u: str, v: str) -> list[int]:
-    """Sorted multiplicities of the edges joining u and v (loops if u == v)."""
-    return sorted(g.multiplicity.get(e, 0) for e, (a, b) in g.edges.items() if {a, b} == {u, v})
+def _pair_profile(g: MarkedGraph, comp: set[str]) -> dict[tuple[str, str], list[int]]:
+    """Sorted endpoint pair -> sorted multiplicities of the edges joining
+    them, over the edges of one component (loops as (v, v))."""
+    out: dict[tuple[str, str], list[int]] = {}
+    for e, (u, v) in g.edges.items():
+        if u in comp:
+            out.setdefault(tuple(sorted((u, v))), []).append(g.multiplicity.get(e, 0))
+    for mults in out.values():
+        mults.sort()
+    return out
 
 
 def _refined_signatures(g: MarkedGraph, verts: list[str]) -> dict[str, tuple]:
     """Vertex colors refined by iterated neighborhood structure."""
+    darts = g.darts_by_vertex()
     adj: dict[str, list[tuple[str, int, int]]] = {v: [] for v in verts}
-    for e, (a, b) in g.edges.items():
-        m = g.multiplicity.get(e, 0)
-        if a == b:
-            if a in adj:
-                adj[a].append((a, m, 1))
-        else:
-            if a in adj:
-                adj[a].append((b, m, 0))
-            if b in adj:
-                adj[b].append((a, m, 0))
+    for v in verts:
+        for e, i in darts[v]:
+            u = g.edges[e][1 - i]
+            if u != v or i == 0:  # a loop is listed once
+                adj[v].append((u, g.multiplicity.get(e, 0), int(u == v)))
     sig = {v: (mark_kind(g.marks[v]), tuple(sorted((m, lp) for _u, m, lp in adj[v])))
            for v in verts}
     for _round in range(len(verts)):
@@ -511,16 +520,12 @@ def _refined_signatures(g: MarkedGraph, verts: list[str]) -> dict[str, tuple]:
 
 
 def _component_key(g: MarkedGraph, comp: set[str]) -> tuple:
-    sub_edges = [(e, uv) for e, uv in g.edges.items() if uv[0] in comp]
-    pair_profile: dict[tuple, list[int]] = {}
-    for e, (u, v) in sub_edges:
-        key = tuple(sorted((u, v)))
-        pair_profile.setdefault(key, []).append(g.multiplicity.get(e, 0))
+    profile = _pair_profile(g, comp)
     return (
         len(comp),
-        len(sub_edges),
+        sum(map(len, profile.values())),
         tuple(sorted(mark_kind(g.marks[v]) for v in comp)),
-        tuple(sorted(tuple(sorted(v)) for v in pair_profile.values())),
+        tuple(sorted(map(tuple, profile.values()))),
     )
 
 
@@ -535,15 +540,15 @@ def _component_isos(
     if sorted(sig1.values()) != sorted(sig2.values()):
         return
 
-    def neighbour_sets(g: MarkedGraph, comp: set[str]) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in comp}
-        for a, b in g.edges.values():
-            if a in comp:
-                adj[a].add(b)
-                adj[b].add(a)
-        return adj
+    darts1, darts2 = g1.darts_by_vertex(), g2.darts_by_vertex()
+    adj1 = {v: {g1.edges[e][1 - i] for e, i in darts1[v]} for v in verts1}
+    adj2 = {w: {g2.edges[e][1 - i] for e, i in darts2[w]} for w in verts2}
+    between1, between2 = _pair_profile(g1, c1), _pair_profile(g2, c2)
 
-    adj1, adj2 = neighbour_sets(g1, c1), neighbour_sets(g2, c2)
+    def same_edges(v: str, u: str, w: str, x: str) -> bool:
+        """Edges v--u in g1 and w--x in g2 agree in number and multiplicity."""
+        return (between1.get(tuple(sorted((v, u))), [])
+                == between2.get(tuple(sorted((w, x))), []))
 
     # BFS order so every vertex after the root touches a mapped one
     freq: dict[tuple, int] = {}
@@ -577,12 +582,9 @@ def _component_isos(
         for w in sorted(cands):
             if w in used or sig2[w] != sig1[v]:
                 continue
-            if _edges_between(g1, v, v) != _edges_between(g2, w, w):
+            if not same_edges(v, v, w, w):
                 continue
-            if any(
-                _edges_between(g1, v, u) != _edges_between(g2, w, mapping[u])
-                for u in mapping
-            ):
+            if not all(same_edges(v, u, w, mapping[u]) for u in mapping):
                 continue
             mapping[v] = w
             used.add(w)
@@ -596,11 +598,14 @@ def _component_isos(
 def iter_marked_graph_isomorphisms(g1: MarkedGraph, g2: MarkedGraph) -> Iterator[dict[str, str]]:
     if len(g1.marks) != len(g2.marks) or len(g1.edges) != len(g2.edges):
         return
-    comps1 = sorted(g1.components(), key=lambda c: (_component_key(g1, c), min(c) if c else ""))
-    comps2 = sorted(g2.components(), key=lambda c: (_component_key(g2, c), min(c) if c else ""))
-    keys1 = [_component_key(g1, c) for c in comps1]
-    keys2 = [_component_key(g2, c) for c in comps2]
-    if sorted(keys1) != sorted(keys2):
+
+    def keyed_components(g: MarkedGraph) -> tuple[list[tuple], list[set[str]]]:
+        keyed = sorted(((_component_key(g, c), min(c)), c) for c in g.components())
+        return [key for (key, _root), _c in keyed], [c for _key, c in keyed]
+
+    keys1, comps1 = keyed_components(g1)
+    keys2, comps2 = keyed_components(g2)
+    if keys1 != keys2:  # both already in key order
         return
 
     def match(i: int, taken: set[int], acc: dict[str, str]) -> Iterator[dict[str, str]]:
@@ -649,9 +654,7 @@ def reverse_walk(walk) -> list[tuple[str, int]]:
 
 
 def check_rotation(g: MarkedGraph, rotation: dict[str, list[tuple[str, int]]]) -> None:
-    expected: dict[str, list] = {v: [] for v in g.marks}
-    for d in g.darts():
-        expected[g.dart_tail(d)].append(d)
+    expected = g.darts_by_vertex()
     used = {v for v, ds in expected.items() if ds}
     if set(rotation) != used:
         extra, missing = sorted(set(rotation) - used), sorted(used - set(rotation))
@@ -766,10 +769,10 @@ def rotation_from_circuits(
     if len(succ) != 2 * len(g.edges):
         return None
 
+    # succ now holds every dart of g exactly once
     rotation: dict[str, list[tuple[str, int]]] = {}
     assigned: set[tuple[str, int]] = set()
-    for v in g.vertices():
-        v_darts = sorted(d for d in succ if g.dart_tail(d) == v)
+    for v, v_darts in g.darts_by_vertex().items():
         if not v_darts:
             continue
         cyc = [v_darts[0]]
@@ -792,16 +795,14 @@ def rotation_from_circuits(
 # attachment circuits and complex isomorphism
 
 
-def attachment_circuit(c: Orbicomplex, pid: str, ci: int) -> Optional[list[tuple[str, int]]]:
+def attachment_circuit(c: Orbicomplex, p: Piece, ci: int) -> Optional[list[tuple[str, int]]]:
     """The closed edge walk along which a fully-attached free circle is
     glued, or None if the circle has mirrors or unattached segments."""
-    p = c.piece(pid)
-    circle = p.boundary[ci]
     walk = []
-    for si, kind in enumerate(circle):
+    for si, kind in enumerate(p.boundary[ci]):
         if kind != FREE:
             return None
-        att = c.attachments.get((pid, ci, si))
+        att = c.attachments.get((p.id, ci, si))
         if att is None:
             return None
         walk.append(att)
@@ -812,7 +813,7 @@ def all_attachment_circuits(c: Orbicomplex) -> dict[tuple[str, int], list[tuple[
     out = {}
     for p in c.pieces:
         for ci in range(len(p.boundary)):
-            w = attachment_circuit(c, p.id, ci)
+            w = attachment_circuit(c, p, ci)
             if w is not None:
                 out[(p.id, ci)] = w
     return out

@@ -30,6 +30,13 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _str(value, what: str) -> str:
+    """A JSON string, exactly: every id and wall label is one."""
+    if type(value) is not str:
+        raise SchemaError(f"{what}: expected a string, got {value!r}")
+    return value
+
+
 def _obj(value, what: str) -> dict:
     """A JSON object, exactly."""
     if type(value) is not dict:
@@ -53,7 +60,7 @@ def _rows(value, what: str, width: int) -> list[list]:
 
 def _segment_ref(data: dict) -> tuple[str, int, int]:
     return (
-        _need(data, "piece"),
+        _str(_need(data, "piece"), "piece id"),
         _int(_need(data, "circle"), "circle"),
         _int(_need(data, "segment"), "segment"),
     )
@@ -109,7 +116,7 @@ def _mark_from_json(data) -> Any:
     if data is None or data == RAM2:
         return data
     if isinstance(data, list) and len(data) == 2 and data[0] == "wall":
-        return wall_mark(data[1])
+        return wall_mark(_str(data[1], "wall label"))
     raise SchemaError(f"unknown mark {data!r}")
 
 
@@ -134,12 +141,13 @@ def marked_graph_from_json(data: dict) -> MarkedGraph:
     g = MarkedGraph()
     for vd in _list(_need(data, "vertices"), "vertices"):
         vd = _obj(vd, "vertex")
-        g.marks[_need(vd, "id")] = _mark_from_json(vd.get("mark"))
+        g.marks[_str(_need(vd, "id"), "vertex id")] = _mark_from_json(vd.get("mark"))
     for ed in _list(_need(data, "edges"), "edges"):
         ed = _obj(ed, "edge")
-        ends = _list(_need(ed, "ends"), f"edge {ed.get('id')!r} ends", 2)
-        g.edges[_need(ed, "id")] = (ends[0], ends[1])
-        g.multiplicity[ed["id"]] = _int(ed.get("multiplicity", 0), "edge multiplicity")
+        e = _str(_need(ed, "id"), "edge id")
+        u, v = _list(_need(ed, "ends"), f"edge {e!r} ends", 2)
+        g.edges[e] = (_str(u, "edge end"), _str(v, "edge end"))
+        g.multiplicity[e] = _int(ed.get("multiplicity", 0), "edge multiplicity")
     return g
 
 
@@ -158,7 +166,7 @@ def piece_to_json(p: Piece) -> dict:
 def piece_from_json(data: dict) -> Piece:
     data = _obj(data, "piece")
     return Piece(
-        id=_need(data, "id"),
+        id=_str(_need(data, "id"), "piece id"),
         genus=_int(data.get("genus", 0), "genus"),
         boundary=tuple(
             tuple(_list(c, "boundary circle")) for c in _list(data.get("boundary", []), "boundary")
@@ -177,9 +185,18 @@ def rotation_from_json(data) -> Any:
     if data is None:
         return None
     return {
-        v: [(e, _int(end, "rotation end")) for e, end in _rows(cyc, "rotation dart", 2)]
+        v: [
+            (_str(e, "rotation edge"), _int(end, "rotation end"))
+            for e, end in _rows(cyc, "rotation dart", 2)
+        ]
         for v, cyc in _obj(data, "rotation").items()
     }
+
+
+def rotation_pair_from_json(data) -> tuple:
+    """The rotation systems ``{"a": ..., "b": ...}`` of a pair of complexes."""
+    data = _obj(data, "rotations")
+    return rotation_from_json(data.get("a")), rotation_from_json(data.get("b"))
 
 
 def orbicomplex_to_json(c: Orbicomplex) -> dict:
@@ -208,7 +225,10 @@ def orbicomplex_from_json(data: dict) -> Orbicomplex:
     attachments = {}
     for ad in _list(data.get("attachments", []), "attachments"):
         ad = _obj(ad, "attachment")
-        attachments[_segment_ref(ad)] = (_need(ad, "edge"), _int(_need(ad, "direction"), "direction"))
+        attachments[_segment_ref(ad)] = (
+            _str(_need(ad, "edge"), "attachment edge"),
+            _int(_need(ad, "direction"), "direction"),
+        )
     c = Orbicomplex(
         pieces=pieces,
         graph=graph,
@@ -258,15 +278,21 @@ def covering_map_from_json(data: dict) -> CoveringMap:
         source=orbicomplex_from_json(_need(data, "source")),
         target=orbicomplex_from_json(_need(data, "target")),
         degree=_int(_need(data, "degree"), "degree"),
-        vertex_map=dict(_obj(data.get("vertex_map", {}), "vertex_map")),
+        vertex_map={
+            v: _str(w, "vertex_map value")
+            for v, w in _obj(data.get("vertex_map", {}), "vertex_map").items()
+        },
         edge_map={
-            e: [(te, _int(d, "edge direction")) for te, d in _rows(path, "edge path step", 2)]
+            e: [
+                (_str(te, "edge path edge"), _int(d, "edge direction"))
+                for te, d in _rows(path, "edge path step", 2)
+            ]
             for e, path in _obj(data.get("edge_map", {}), "edge_map").items()
         },
     )
     for p, value in _obj(data.get("piece_map", {}), "piece_map").items():
         q, l = _list(value, "piece_map value", 2)
-        f.piece_map[p] = (q, _int(l, "local degree"))
+        f.piece_map[p] = (_str(q, "piece_map value"), _int(l, "local degree"))
     for sd in _list(data.get("segment_map", []), "segment_map"):
         sd = _obj(sd, "segment_map entry")
         f.segment_map[_segment_ref(sd)] = [
@@ -275,9 +301,10 @@ def covering_map_from_json(data: dict) -> CoveringMap:
         ]
     for cd in _list(data.get("cone_fibers", []), "cone_fibers"):
         cd = _obj(cd, "cone_fibers entry")
-        key = (_need(cd, "piece"), _int(_need(cd, "cone"), "cone index"))
+        key = (_str(_need(cd, "piece"), "piece id"), _int(_need(cd, "cone"), "cone index"))
         f.cone_fibers[key] = [
-            ("cone", tok[1], _int(tok[2], "cone preimage")) if tok[0] == "cone" else ("smooth", tok[1], tok[2])
+            ("cone", _str(tok[1], "piece id"), _int(tok[2], "cone preimage"))
+            if tok[0] == "cone" else ("smooth", _str(tok[1], "piece id"), tok[2])
             for tok in _rows(_need(cd, "preimages"), "cone preimage", 3)
         ]
     return f

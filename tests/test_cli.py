@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,13 +119,33 @@ def _demo_complex_json() -> dict:
     return orbicomplex_to_json(coxeter.davis_orbicomplex(coxeter.demo_defining_graph()))
 
 
-def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
-    data = _demo_complex_json()
+def _kind_typo(data):
     data["pieces"][0]["boundary"][0][1] = "mirorr"
-    path = tmp_path / "typo.json"
-    path.write_text(serialize.dumps(data))
-    assert run_cli("euler", str(path)) == 3
-    assert "UnknownSegmentKind" in capsys.readouterr().err
+
+
+def _last_segment_minus_one(data):
+    pid = data["pieces"][0]["id"]
+    last = max((a for a in data["attachments"] if a["piece"] == pid), key=lambda a: a["segment"])
+    last["segment"] = -1
+
+
+def _circle_minus_one(data):
+    data["attachments"][0]["circle"] = -1
+
+
+def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
+    # a negative index must not alias the last segment or circle
+    for mutate, violation in (
+        (_kind_typo, "UnknownSegmentKind"),
+        (_last_segment_minus_one, "UnknownSegment:"),
+        (_circle_minus_one, "UnknownSegment:"),
+    ):
+        data = _demo_complex_json()
+        mutate(data)
+        path = tmp_path / "typo.json"
+        path.write_text(serialize.dumps(data))
+        assert run_cli("euler", str(path)) == 3, mutate.__name__
+        assert violation in capsys.readouterr().err, mutate.__name__
 
 
 @pytest.mark.parametrize(
@@ -135,8 +156,13 @@ def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
         (("pieces", 0, "boundary"), "free", "expected a list"),
         (("attachments", 0), 5, "expected an object"),
         (("graph", "edges", 0, "ends"), 5, "expected a list"),
+        (("pieces", 0, "id"), ["x"], "expected a string"),
+        (("attachments", 0, "edge"), {"a": 1}, "expected a string"),
     ],
-    ids=["genus-string", "cone-float", "boundary-string", "attachment-number", "ends-number"],
+    ids=[
+        "genus-string", "cone-float", "boundary-string", "attachment-number", "ends-number",
+        "piece-id-list", "attachment-edge-object",
+    ],
 )
 def test_cmd_euler_malformed_field_exits_two(tmp_path, capsys, path, value, message):
     data = _demo_complex_json()
@@ -189,6 +215,38 @@ def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
     bad_file.write_text(serialize.dumps(data))
     assert run_cli("verify", str(bad_file)) == 4
     assert "FAIL" in capsys.readouterr().out
+
+    # negative indices must not alias the last circle, segment or cone
+    for mutate, code, message in (
+        (_step_circle_minus_one, 4, "out of range"),
+        (_cone_preimage_minus_one, 4, "bad token"),
+        (_cone_key_minus_one, 3, "cone_fibers key"),
+    ):
+        data = json.loads(serialize.dumps(covering_map_to_json(chain.map2)))
+        mutate(data)
+        bad_file.write_text(serialize.dumps(data))
+        assert run_cli("verify", str(bad_file)) == code, mutate.__name__
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err, mutate.__name__
+
+
+def _step_circle_minus_one(data):
+    data["segment_map"][0]["steps"][0][0] = -1
+
+
+def _cone_preimage_minus_one(data):
+    """Write a cone preimage with index -1 in place of its piece's last cone."""
+    cones = {p["id"]: len(p["cones"]) for p in data["source"]["pieces"]}
+    for entry in data["cone_fibers"]:
+        for tok in entry["preimages"]:
+            if tok[0] == "cone" and tok[2] == cones[tok[1]] - 1:
+                tok[2] = -1
+                return
+    raise AssertionError("no cone preimage at a last index")
+
+
+def _cone_key_minus_one(data):
+    data["cone_fibers"][-1]["cone"] = -1
 
 
 @pytest.mark.parametrize("case", ["piece-map-number", "segment-without-steps"])
@@ -246,6 +304,10 @@ def test_cmd_compare_with_rotation_file(chain, tmp_path, capsys):
     assert run_cli("compare", str(a), str(b), "--rotations", str(rotations)) == 0
     assert "homotopy certificate: present" in capsys.readouterr().out
 
+    rotations.write_text("[1, 2]")
+    assert run_cli("compare", str(a), str(b), "--rotations", str(rotations)) == 2
+    assert capsys.readouterr().err.startswith("parse error: rotations: expected an object")
+
 
 def test_cmd_paper_demo_json_deterministic(tmp_path):
     f1 = tmp_path / "r1.json"
@@ -253,6 +315,8 @@ def test_cmd_paper_demo_json_deterministic(tmp_path):
     assert run_cli("paper-demo", "--json", "--out", str(f1)) == 0
     assert run_cli("paper-demo", "--json", "--out", str(f2)) == 0
     assert f1.read_text() == f2.read_text()
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "demo_report.json"
+    assert f1.read_text() == golden.read_text(encoding="utf-8")
     report = json.loads(f1.read_text())
     assert "timings" not in report
     assert report["stages"]["pair_search"]["pairs_found"] >= 1

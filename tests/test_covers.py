@@ -221,7 +221,7 @@ def test_partial_wall_unfolding(chain):
     # mirror, the others lift to two disjoint copies
     phi = TwoTorsionLabeling(walls={"v1": 1})
     for p in chain.base.pieces:
-        for ref, label in covers._mirror_wall_pairs(chain.base, p.id):
+        for ref, label in covers._mirror_wall_pairs(chain.base, p):
             if label == "v1":
                 phi.mirrors[ref] = 1
     cover, f = double_cover(chain.base, phi)

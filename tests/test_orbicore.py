@@ -69,14 +69,21 @@ def test_validate_davis_complex_clean(chain, covering_maps):
     assert {name: validate_complex(c) for name, c in tower.items()} == {name: [] for name in tower}
 
 
-def test_invariants_and_builders_do_not_revalidate(chain, monkeypatch):
+def test_invariants_and_builders_do_not_revalidate(chain, covering_maps, monkeypatch):
     calls = []
+    piece_lookups = []
 
     def counting_validate(c):
         calls.append(c)
         return []
 
+    def counting_piece(c, pid):
+        piece_lookups.append(pid)
+        return original_piece(c, pid)
+
+    original_piece = Orbicomplex.piece
     monkeypatch.setattr(orbicore, "validate_complex", counting_validate)
+    monkeypatch.setattr(Orbicomplex, "piece", counting_piece)
     y = chain.y
     euler_characteristic(y)
     singular_subspace(y)
@@ -88,6 +95,10 @@ def test_invariants_and_builders_do_not_revalidate(chain, monkeypatch):
     covers.enumerate_double_covers(chain.cover1)
     covers.torsion_free_cover(y)
     assert calls == []
+    # the verifier validates its inputs, but no layer looks a piece up by id
+    for name, fm in covering_maps:
+        assert covers.verify_covering(fm).passed, name
+    assert piece_lookups == []
 
 
 def test_parse_refuses_invalid_complex():
