@@ -566,82 +566,8 @@ def rotation_double(p: Piece) -> tuple[Piece, CoveringMap]:
 
 
 # ---------------------------------------------------------------------------
-# the explicit double cover of a Davis orbicomplex
-
-
-def davis_double_cover(davis: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
-    """The degree-2 cover of a Davis orbicomplex in which every polygon
-    unfolds to a cone disk.
-
-    The glued star unfolds to a two-vertex banana graph (one edge per
-    reflection wall); the polygon over a branch from wall a to wall z
-    becomes a disk with n-1 cones whose boundary reads edge(a) then
-    edge(z) reversed, double-covering the two glued half-edges.
-    """
-    hub_candidates = [v for v, m in davis.graph.marks.items() if m is None]
-    walls = sorted(v for v, m in davis.graph.marks.items() if is_wall(m))
-    if len(hub_candidates) != 1 or not walls:
-        raise UnsupportedPiece("not a Davis orbicomplex (expected hub plus wall leaves)")
-    hub = hub_candidates[0]
-    wall_edge = {}
-    for e, (u, v) in davis.graph.edges.items():
-        leaf = u if v == hub else v
-        if leaf == hub or not is_wall(davis.graph.marks[leaf]):
-            raise UnsupportedPiece(f"edge {e} is not a hub-wall half-edge")
-        wall_edge[leaf] = e
-
-    graph = MarkedGraph(marks={"x": None, "y": None})
-    cover_edge = {}
-    for w in walls:
-        cid = f"c.{davis.graph.marks[w][1]}"
-        graph.edges[cid] = ("x", "y")
-        cover_edge[w] = cid
-
-    pieces: list[Piece] = []
-    attachments: dict[SegRef, tuple[str, int]] = {}
-    piece_map = {}
-    segmap: dict[SegRef, list[Step]] = {}
-    for p in davis.pieces:
-        n = _require_polygon(p)
-        first = davis.seg_endpoints((p.id, 0, 0))
-        last = davis.seg_endpoints((p.id, 0, n + 1))
-        if first is None or last is None:
-            raise UnsupportedPiece(f"polygon {p.id} is not fully attached")
-        wall_a, wall_z = first[1], last[0]
-        cover = disk_with_cones(p.id, n - 1, n_segments=2)
-        pieces.append(cover)
-        attachments[(p.id, 0, 0)] = (cover_edge[wall_a], 1)
-        attachments[(p.id, 0, 1)] = (cover_edge[wall_z], -1)
-        piece_map[p.id] = (p.id, 2)
-        segmap[(p.id, 0, 0)] = [(0, 0, 1), (0, 0, -1)]
-        segmap[(p.id, 0, 1)] = [(0, n + 1, -1), (0, n + 1, 1)]
-
-    cover_cx = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
-    recompute_multiplicities(cover_cx)
-    cover_cx.rotation = derive_rotation(cover_cx)
-
-    edge_map = {}
-    for w in walls:
-        e = wall_edge[w]
-        u, v = davis.graph.edges[e]
-        # traversing x -> y runs hub -> wall -> hub downstairs
-        to_wall = -1 if u == w else 1
-        edge_map[cover_edge[w]] = [(e, to_wall), (e, -to_wall)]
-
-    f = CoveringMap(
-        source=cover_cx,
-        target=davis,
-        degree=2,
-        vertex_map={"x": hub, "y": hub},
-        edge_map=edge_map,
-        piece_map=piece_map,
-        segment_map=segmap,
-    )
-    return cover_cx, f
-
-
-# ---------------------------------------------------------------------------
-# two-torsion labelings and generic double covers
+# two-torsion labelings and the double covers they classify, the Davis cover
+# (the all-ones labeling) among them
 
 
 @dataclass
@@ -810,6 +736,53 @@ def _trace_polygon(circle: tuple[str, ...], glued: set[int]) -> list[list[tuple[
     return traces
 
 
+def _smoothed_walls(c: Orbicomplex, phi: TwoTorsionLabeling) -> dict[str, str]:
+    """The unfolded walls that lift to no vertex, keyed by their one edge.
+
+    A wall with phi = 1 and exactly one dart would lift to a bivalent plain
+    point; the cover carries one edge through it instead.  When one edge
+    joins two such walls, only the wall whose lift sorts first is smoothed.
+    """
+    darts = c.graph.darts_by_vertex()
+    out: dict[str, str] = {}
+    for v in sorted(c.graph.marks, key=lambda v: f"{v}.m"):
+        mark = c.graph.marks[v]
+        if is_wall(mark) and phi.wall(mark[1]) == 1 and len(darts[v]) == 1:
+            out.setdefault(darts[v][0][0], v)
+    return out
+
+
+Segment = tuple[str, list[Step], Optional[tuple[str, int]]]  # kind, steps, attachment
+
+
+def _join_at_walls(
+    circle: list[Segment], joins: dict[tuple[str, int], tuple[str, int]]
+) -> list[Segment]:
+    """Merge each attached segment that runs into a smoothed wall with the
+    attached segment after it; ``joins`` maps the attachment that runs into
+    the wall to the merged segment's attachment.  The circle turns by one
+    when its last and first segments merge, so no merged pair straddles
+    index 0."""
+    t = len(circle)
+    starts = {
+        i for i, (_kind, _steps, att) in enumerate(circle)
+        if att in joins and circle[(i + 1) % t][2] is not None
+    }
+    offset = 1 if t - 1 in starts else 0
+    out: list[Segment] = []
+    i = 0
+    while i < t:
+        k = (offset + i) % t
+        kind, steps, att = circle[k]
+        if k in starts:
+            out.append((kind, steps + circle[(k + 1) % t][1], joins[att]))
+            i += 2
+        else:
+            out.append((kind, steps, att))
+            i += 1
+    return out
+
+
 def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, CoveringMap]:
     """The degree-2 cover classified by a two-torsion labeling.
 
@@ -817,8 +790,9 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     boundary parity and cone/mirror values all vanish lifts to two disjoint
     copies; otherwise it lifts connectedly, with phi=0 cones duplicated,
     phi=1 cones smoothed, and mirrors glued across the sheets where phi=1.
-    Bivalent graph vertices created by unfolded walls are smoothed away, so
-    source edges map to length-two folded paths over them.
+    An unfolded wall with one edge downstairs lifts to no vertex: the two
+    lifts of its edge form one edge ``c.<wall>``, which maps to a folded
+    path of length two, and the piece segments that meet there merge.
     """
     problems = labeling_violations(c, phi)
     if problems:
@@ -834,8 +808,12 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             raise UnsupportedPiece(f"piece {p.id} must be fully attached")
 
     names = _lift_vertex_names(c, phi)
+    wall_of = _smoothed_walls(c, phi)
+    smoothed = set(wall_of.values())
     graph = MarkedGraph()
     for v, mark in sorted(c.graph.marks.items()):
+        if v in smoothed:
+            continue
         if names[(v, 0)] == names[(v, 1)]:
             graph.marks[names[(v, 0)]] = None
         else:
@@ -844,24 +822,47 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     graph.marks[names[(v, s)]] = wall_mark(f"{mark[1]}.{s}")
                 else:
                     graph.marks[names[(v, s)]] = mark
+    vertex_map = {name: v for (v, _s), name in names.items() if v not in smoothed}
+
+    edge_map: dict[str, list[tuple[str, int]]] = {}
+    joins: dict[tuple[str, int], tuple[str, int]] = {}
     for e, (u, v) in sorted(c.graph.edges.items()):
-        for s in (0, 1):
-            graph.edges[f"{e}.{s}"] = (names[(u, s)], names[(v, s ^ phi.edge(e))])
-
-    vertex_map = {}
-    for (v, s), name in names.items():
-        vertex_map[name] = v
-    edge_map = {f"{e}.{s}": [(e, 1)] for e in c.graph.edges for s in (0, 1)}
-
-    def lifted_attachment(e: str, d: int, tail_sheet: int) -> tuple[str, int]:
-        i = tail_sheet if d == 1 else tail_sheet ^ phi.edge(e)
-        return (f"{e}.{i}", d)
+        lifts = [(names[(u, s)], names[(v, s ^ phi.edge(e))]) for s in (0, 1)]
+        w = wall_of.get(e)
+        if w is None:
+            for s in (0, 1):
+                graph.edges[f"{e}.{s}"] = lifts[s]
+                edge_map[f"{e}.{s}"] = [(e, 1)]
+            continue
+        # one edge through the smoothed wall w: in along one lift, out along the other
+        into = 1 if v == w else -1
+        tail = 0 if into == 1 else 1
+        graph.edges[f"c.{w}"] = (lifts[0][tail], lifts[1][tail])
+        edge_map[f"c.{w}"] = [(e, into), (e, -into)]
+        joins[(f"{e}.0", into)] = (f"c.{w}", 1)
+        joins[(f"{e}.1", into)] = (f"c.{w}", -1)
 
     pieces: list[Piece] = []
     attachments: dict[SegRef, tuple[str, int]] = {}
     piece_map: dict[str, tuple[str, int]] = {}
     segmap: dict[SegRef, list[Step]] = {}
     cone_fibers: dict[tuple[str, int], list[tuple]] = {}
+
+    def install(
+        pid: str, base: Piece, genus: int, circles: list[list[Segment]],
+        cones: tuple[int, ...], local_degree: int,
+    ) -> Piece:
+        circles = [_join_at_walls(circ, joins) for circ in circles]
+        boundary = tuple(tuple(kind for kind, _steps, _att in circ) for circ in circles)
+        piece = Piece(pid, genus, boundary, cones)
+        pieces.append(piece)
+        piece_map[pid] = (base.id, local_degree)
+        for ci, circ in enumerate(circles):
+            for si, (_kind, steps, att) in enumerate(circ):
+                segmap[(pid, ci, si)] = steps
+                if att is not None:
+                    attachments[(pid, ci, si)] = att
+        return piece
 
     for p in c.pieces:
         circle = p.boundary[0]
@@ -876,24 +877,20 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     bump = phi.edge(att[0])
             h[si + 1] = h[si] ^ bump
 
-        def attach_lift(si: int, sheet: int, direction: int) -> Optional[tuple[str, int]]:
+        def lift(si: int, sheet: int, direction: int) -> Segment:
+            """Segment si on ``sheet``, traversed in ``direction``."""
             att = c.attachments.get((p.id, 0, si))
-            if att is None:
-                return None
-            e, d = att
-            tail_sheet = sheet ^ (h[si] if direction == 1 else h[si + 1])
-            return lifted_attachment(e, d * direction, tail_sheet)
+            if att is not None:
+                e, d = att
+                tail_sheet = sheet ^ (h[si] if direction == 1 else h[si + 1])
+                i = tail_sheet if d * direction == 1 else tail_sheet ^ phi.edge(e)
+                att = (f"{e}.{i}", d * direction)
+            return (circle[si], [(0, si, direction)], att)
 
         def lift_to_two_copies() -> None:
             for s in (0, 1):
                 pid2 = f"{p.id}.{s}"
-                pieces.append(Piece(pid2, 0, (tuple(circle),), tuple(p.cones)))
-                piece_map[pid2] = (p.id, 1)
-                for si in range(t):
-                    segmap[(pid2, 0, si)] = [(0, si, 1)]
-                    att = attach_lift(si, s, 1)
-                    if att:
-                        attachments[(pid2, 0, si)] = att
+                install(pid2, p, 0, [[lift(si, s, 1) for si in range(t)]], p.cones, 1)
                 for j in range(len(p.cones)):
                     cone_fibers.setdefault((p.id, j), []).append(("cone", pid2, j))
 
@@ -905,97 +902,63 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             }
             if not glued:
                 lift_to_two_copies()
-            else:
-                traces = _trace_polygon(circle, glued)
-                pid2 = f"{p.id}.01"
-                boundary = []
-                n_cones = sum(
-                    1 for si in glued if (si + 1) % t in glued
-                )
-                for trace in traces:
-                    kinds = []
-                    idx = 0
-                    entries = []  # per new segment: list of (si, sheet)
-                    while idx < len(trace):
-                        si, s = trace[idx]
-                        if (
-                            circle[si] == MIRROR
-                            and idx + 1 < len(trace)
-                            and trace[idx + 1][0] == si
-                        ):
-                            entries.append([(si, s), trace[idx + 1]])
-                            kinds.append(MIRROR)
-                            idx += 2
-                        else:
-                            entries.append([(si, s)])
-                            kinds.append(circle[si])
-                            idx += 1
-                    boundary.append((tuple(kinds), entries))
-                cover = Piece(
-                    pid2,
-                    0,
-                    tuple(kinds for kinds, _ in boundary),
-                    (2,) * n_cones,
-                )
-                # genus bookkeeping: two disks glued along arcs stay planar
-                assert piece_orbifold_euler(cover) == 2 * piece_orbifold_euler(p), p.id
-                pieces.append(cover)
-                piece_map[pid2] = (p.id, 2)
-                for ci2, (kinds, entries) in enumerate(boundary):
-                    for si2, entry in enumerate(entries):
-                        steps = [
-                            (0, si, 1 if s == 0 else -1) for si, s in entry
-                        ]
-                        segmap[(pid2, ci2, si2)] = steps
-                        if kinds[si2] == FREE:
-                            si, s = entry[0]
-                            att = attach_lift(si, s, 1 if s == 0 else -1)
-                            if att:
-                                attachments[(pid2, ci2, si2)] = att
+                continue
+            circles = []
+            for trace in _trace_polygon(circle, glued):
+                segments = [lift(si, s, 1 if s == 0 else -1) for si, s in trace]
+                # a glued mirror is crossed on both sheets in a row: one segment
+                circ: list[Segment] = []
+                idx = 0
+                while idx < len(trace):
+                    seg = segments[idx]
+                    if (
+                        seg[0] == MIRROR
+                        and idx + 1 < len(trace)
+                        and trace[idx + 1][0] == trace[idx][0]
+                    ):
+                        seg = (MIRROR, seg[1] + segments[idx + 1][1], None)
+                        idx += 1
+                    circ.append(seg)
+                    idx += 1
+                circles.append(circ)
+            n_cones = sum(1 for si in glued if (si + 1) % t in glued)
+            cover = install(f"{p.id}.01", p, 0, circles, (2,) * n_cones, 2)
+            # genus bookkeeping: two disks glued along arcs stay planar
+            assert piece_orbifold_euler(cover) == 2 * piece_orbifold_euler(p), p.id
         else:
             k = len(p.cones)
             cone_vals = [phi.cone(p.id, j) for j in range(k)]
             parity = h[t]
             if parity == 0 and not any(cone_vals):
                 lift_to_two_copies()
-            else:
-                pid2 = f"{p.id}.01"
-                k0 = cone_vals.count(0)
-                k1 = k - k0
-                b2 = 1 if parity == 1 else 2
-                genus2, rem = divmod(k1 - b2, 2)
-                if rem or genus2 < 0:
-                    raise NotAHomomorphism(
-                        f"piece {p.id}: inconsistent lift (parity {parity}, {k1} smoothed cones)"
-                    )
-                if parity == 1:
-                    bnd = ((FREE,) * (2 * t),)
+                continue
+            pid2 = f"{p.id}.01"
+            k0 = cone_vals.count(0)
+            k1 = k - k0
+            b2 = 1 if parity == 1 else 2
+            genus2, rem = divmod(k1 - b2, 2)
+            if rem or genus2 < 0:
+                raise NotAHomomorphism(
+                    f"piece {p.id}: inconsistent lift (parity {parity}, {k1} smoothed cones)"
+                )
+            sheets = [[lift(si, s, 1) for si in range(t)] for s in (0, 1)]
+            # parity 1: one circle, two laps; parity 0: one circle per sheet
+            circles = [sheets[0] + sheets[1]] if parity == 1 else sheets
+            install(pid2, p, genus2, circles, (2,) * (2 * k0), 2)
+            new_cone = 0
+            for j, val in enumerate(cone_vals):
+                if val == 0:
+                    cone_fibers[(p.id, j)] = [
+                        ("cone", pid2, new_cone),
+                        ("cone", pid2, new_cone + 1),
+                    ]
+                    new_cone += 2
                 else:
-                    bnd = ((FREE,) * t, (FREE,) * t)
-                cover = Piece(pid2, genus2, bnd, (2,) * (2 * k0))
-                pieces.append(cover)
-                piece_map[pid2] = (p.id, 2)
-                # parity 1: one circle, two laps; parity 0: one circle per sheet
-                for s in (0, 1):
-                    for si in range(t):
-                        ref = (pid2, 0, s * t + si) if parity == 1 else (pid2, s, si)
-                        segmap[ref] = [(0, si, 1)]
-                        att = attach_lift(si, s, 1)
-                        if att:
-                            attachments[ref] = att
-                new_cone = 0
-                for j, val in enumerate(cone_vals):
-                    if val == 0:
-                        cone_fibers[(p.id, j)] = [
-                            ("cone", pid2, new_cone),
-                            ("cone", pid2, new_cone + 1),
-                        ]
-                        new_cone += 2
-                    else:
-                        cone_fibers[(p.id, j)] = [("smooth", pid2, f"c{j}")]
+                    cone_fibers[(p.id, j)] = [("smooth", pid2, f"c{j}")]
 
     cover_cx = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
     recompute_multiplicities(cover_cx)
+    cover_cx.rotation = derive_rotation(cover_cx)
     f = CoveringMap(
         source=cover_cx,
         target=c,
@@ -1006,119 +969,20 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
         segment_map=segmap,
         cone_fibers=cone_fibers,
     )
-    _smooth_unfolded_walls(f)
-    cover_cx.rotation = derive_rotation(cover_cx)
     return cover_cx, f
 
 
-def _merge_circle_through(
-    f: CoveringMap, k: int, ci: int, v: str, remap_att
-) -> bool:
-    """Merge every consecutive attached segment pair of circle ci of piece
-    number k whose shared junction sits at graph vertex v; returns True if
-    anything merged."""
-    c = f.source
-    p = c.pieces[k]
-    pid = p.id
-    circle = p.boundary[ci]
-    t = len(circle)
-    starts = set()
-    for si in range(t):
-        r1, r2 = (pid, ci, si), (pid, ci, (si + 1) % t)
-        if r1 in c.attachments and r2 in c.attachments:
-            if c.seg_endpoints(r1)[1] == v:
-                starts.add(si)
-    if not starts:
-        return False
-    seconds = {(si + 1) % t for si in starts}
-    offset = min(j for j in range(t) if j not in seconds)
-    order = [(offset + k) % t for k in range(t)]
+def davis_double_cover(davis: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
+    """The degree-2 cover of a Davis orbicomplex in which every polygon
+    unfolds to a cone disk: the kernel of the all-ones labeling.
 
-    new_kinds: list[str] = []
-    new_steps: list[list[Step]] = []
-    new_atts: list = []
-    idx = 0
-    while idx < t:
-        cur = order[idx]
-        ref = (pid, ci, cur)
-        if cur in starts:
-            nxt = (pid, ci, (cur + 1) % t)
-            new_kinds.append(FREE)
-            new_steps.append(f.segment_map[ref] + f.segment_map[nxt])
-            new_atts.append(remap_att(c.attachments[ref]))
-            idx += 2
-        else:
-            new_kinds.append(circle[cur])
-            new_steps.append(f.segment_map.get(ref))
-            new_atts.append(
-                remap_att(c.attachments[ref]) if ref in c.attachments else None
-            )
-            idx += 1
-
-    # reinstall this circle only; other circles keep their indices
-    for sk in range(t):
-        c.attachments.pop((pid, ci, sk), None)
-        f.segment_map.pop((pid, ci, sk), None)
-    new_boundary = tuple(
-        tuple(new_kinds) if cj == ci else circ for cj, circ in enumerate(p.boundary)
-    )
-    c.pieces[k] = Piece(pid, p.genus, new_boundary, p.cones)
-    for s2 in range(len(new_kinds)):
-        if new_steps[s2] is not None:
-            f.segment_map[(pid, ci, s2)] = new_steps[s2]
-        if new_atts[s2] is not None:
-            c.attachments[(pid, ci, s2)] = new_atts[s2]
-    return True
-
-
-def _smooth_unfolded_walls(f: CoveringMap) -> None:
-    """Remove the bivalent plain vertices a degree-2 cover creates over
-    unfolded wall leaves, merging their edge pairs and the piece segments
-    that cross them; the merged source edges map to folded length-2 paths."""
-    c = f.source
-    while True:
-        darts = c.graph.darts_by_vertex()
-        candidates = [
-            v
-            for v in c.graph.vertices()
-            if c.graph.marks[v] is None
-            and v.endswith(".m")
-            and len(darts[v]) == 2
-            and darts[v][0][0] != darts[v][1][0]  # two edges, not a loop
-        ]
-        if not candidates:
-            return
-        v = candidates[0]
-        (e1, i1), (e2, i2) = darts[v]
-        a, b = c.graph.edges[e1][1 - i1], c.graph.edges[e2][1 - i2]
-        new_edge = f"c.{v[:-len('.m')]}"
-        d1 = 1 if i1 == 1 else -1   # e1 traversed a -> v
-        d2 = 1 if i2 == 0 else -1   # e2 traversed v -> b
-        path1 = f.edge_map[e1] if d1 == 1 else reverse_walk(f.edge_map[e1])
-        path2 = f.edge_map[e2] if d2 == 1 else reverse_walk(f.edge_map[e2])
-        c.graph.edges[new_edge] = (a, b)
-        f.edge_map[new_edge] = path1 + path2
-
-        def remap_att(att, _e1=e1, _e2=e2, _d1=d1, _d2=d2, _new=new_edge):
-            e, d = att
-            if e == _e1:
-                return (_new, d * _d1)
-            if e == _e2:
-                return (_new, d * _d2)
-            return att
-
-        # merge segments while the old edges are still present for lookups
-        for k, p in enumerate(c.pieces):
-            for ci in range(len(p.boundary)):
-                while _merge_circle_through(f, k, ci, v, remap_att):
-                    pass
-        for ref, att in list(c.attachments.items()):
-            c.attachments[ref] = remap_att(att)
-        del c.graph.edges[e1], c.graph.edges[e2]
-        del c.graph.marks[v]
-        del f.edge_map[e1], f.edge_map[e2]
-        del f.vertex_map[v]
-        recompute_multiplicities(c)
+    The glued star unfolds to a two-vertex banana graph, ``hub.0`` and
+    ``hub.1`` joined by one edge ``c.<wall>`` per reflection wall; the
+    polygon p over a branch with n mirrors becomes the disk ``p.01`` with
+    n-1 cones, whose boundary reads the edge of its first wall, then the
+    edge of its last wall reversed, double-covering the two glued half-edges.
+    """
+    return double_cover(davis, all_ones_labeling(davis))
 
 
 def derive_rotation(c: Orbicomplex) -> Optional[dict[str, list[tuple[str, int]]]]:

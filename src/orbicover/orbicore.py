@@ -10,7 +10,7 @@ marked graph.  Everything is exact: Euler characteristics are
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -178,7 +178,9 @@ class MarkedGraph:
 
     def darts_by_vertex(self) -> dict[str, list[tuple[str, int]]]:
         """The darts leaving each vertex, in dart order; a loop leaves its
-        vertex twice.  Built on each call, so in-place edits need no care."""
+        vertex twice.  Built on each call: the constructions fill a graph
+        once and leave it, and ``topological_form`` rebuilds it after each
+        edit of its own copy."""
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices()}
         for d in self.darts():
             out.setdefault(self.dart_tail(d), []).append(d)
@@ -380,21 +382,21 @@ def piece_orbifold_euler(p: Piece) -> Fraction:
     Weighted-cell bookkeeping relative to the plain surface characteristic
     2 - 2g - b: each mirror segment carries weight 1/2 (correction +1/2),
     each right-angled corner 1/4 (-3/4), each reflection junction 1/2
-    (-1/2), each order-m cone 1/m (-(1 - 1/m)).
+    (-1/2), each order-m cone 1/m (-(1 - 1/m)).  The boundary terms are
+    counted in quarters and the k cones of each order m in one fraction.
     """
-    chi = Fraction(2 - 2 * p.genus - len(p.boundary))
+    quarters = 4 * (2 - 2 * p.genus - len(p.boundary))
     for circle in p.boundary:
-        t = len(circle)
-        for si, kind in enumerate(circle):
+        for prev, kind in zip(circle[-1:] + circle[:-1], circle):
             if kind == MIRROR:
-                chi += Fraction(1, 2)
-            prev = circle[(si - 1) % t]
+                quarters += 2
             if prev == MIRROR and kind == MIRROR:
-                chi -= Fraction(3, 4)
+                quarters -= 3
             elif MIRROR in (prev, kind):
-                chi -= Fraction(1, 2)
-    for m in p.cones:
-        chi -= 1 - Fraction(1, m)
+                quarters -= 2
+    chi = Fraction(quarters, 4)
+    for m, k in Counter(p.cones).items():
+        chi -= Fraction(k * (m - 1), m)
     return chi
 
 

@@ -323,8 +323,9 @@ def _torsion_free_stage(t: Tower) -> dict:
         chih = orbicore.euler_characteristic(hat)
         _check("torsion_free", chih == Fraction(-144), f"chi = {chih}, expected -144")
         _check("torsion_free", invariants.torsion_freeness(hat), "cover is not torsion-free")
+        below = {q.id: q for q in cx.pieces}
         genus_by_cones = {
-            len(cx.piece(p.id[: -len(".hat")]).cones): p.genus for p in hat.pieces
+            len(below[fhat.piece_map[p.id][0]].cones): p.genus for p in hat.pieces
         }
         _check(
             "torsion_free",

@@ -77,9 +77,15 @@ def defining_graph_to_json(g: DefiningGraph) -> dict:
 
 
 def defining_graph_from_json(data: dict) -> DefiningGraph:
+    data = _obj(data, "defining graph")
+    vertices = [_str(v, "vertex id") for v in _list(_need(data, "vertices"), "vertices")]
+    edges = [
+        (_str(a, "edge end"), _str(b, "edge end"))
+        for a, b in _rows(_need(data, "edges"), "edge", 2)
+    ]
     try:
-        return DefiningGraph.from_edges(_need(data, "vertices"), _need(data, "edges"))
-    except (TypeError, ValueError) as exc:
+        return DefiningGraph.from_edges(vertices, edges)
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 

@@ -98,10 +98,25 @@ def test_cmd_racg_triangle_exits_three(tmp_path, capsys):
     assert "one-ended: false" in out
 
 
-def test_cmd_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("cmd", ["racg", "davis"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        # K_{2,3} with integer ids: davis used to exit 0 with an unreadable complex
+        '{"vertices": [0, 1, 2, 3, 4], '
+        '"edges": [[0, 2], [2, 1], [0, 3], [3, 1], [0, 4], [4, 1]]}',
+        # mixed ids used to exit 1 with "TypeError: '<' not supported"
+        '{"vertices": [1, "a", "b"], "edges": []}',
+        '{"vertices": [true, false], "edges": []}',
+    ],
+    ids=["not-json", "integer-ids", "mixed-ids", "boolean-ids"],
+)
+def test_cmd_parse_error(tmp_path, capsys, cmd, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert run_cli("racg", str(path)) == 2
+    path.write_text(text)
+    assert run_cli(cmd, str(path)) == 2
+    assert "parse error:" in capsys.readouterr().err
 
 
 def test_cmd_davis_triangle_exits_three(tmp_path, capsys):

@@ -25,15 +25,18 @@ from orbicover.covers import (
 )
 from orbicover.coxeter import Branch, branch_polygon
 from orbicover.orbicore import (
+    FREE,
+    MIRROR,
     MarkedGraph,
     Orbicomplex,
+    Piece,
     disk_with_cones,
     euler_characteristic,
-    orbicomplex_isomorphism,
     piece_orbifold_euler,
     recompute_multiplicities,
     singular_subspace,
     topological_form,
+    wall_mark,
 )
 
 
@@ -177,11 +180,71 @@ def test_reflection_then_rotation_composes_to_degree_four():
 # generic double covers
 
 
-def test_all_ones_labeling_reproduces_explicit_cover(chain):
-    phi = all_ones_labeling(chain.base)
-    cover, f = double_cover(chain.base, phi)
+def test_davis_double_cover_shape(chain):
+    # the all-ones cover: a banana graph with one edge per wall, and one
+    # disk with n-1 cones and two free segments over each n-mirror polygon
+    cover, f = covers.davis_double_cover(chain.base)
+    walls = [v for v, m in chain.base.graph.marks.items() if orbicore.is_wall(m)]
+    assert cover.graph.marks == {"hub.0": None, "hub.1": None}
+    assert cover.graph.edges == {f"c.{w}": ("hub.0", "hub.1") for w in walls}
+    assert cover.pieces == [
+        disk_with_cones(f"{p.id}.01", p.boundary[0].count(orbicore.MIRROR) - 1, n_segments=2)
+        for p in chain.base.pieces
+    ]
+    assert cover.rotation is not None
     assert verify_covering(f).passed
-    assert orbicomplex_isomorphism(cover, chain.cover1) is not None
+
+
+def _assert_wall_lifts_not_bivalent(f):
+    """No plain vertex over an unfolded wall is left with two darts on two
+    distinct edges: such a vertex is smoothed into one edge."""
+    darts = f.source.graph.darts_by_vertex()
+    for v, w in f.vertex_map.items():
+        if f.source.graph.marks[v] is None and orbicore.is_wall(f.target.graph.marks[w]):
+            assert not (len(darts[v]) == 2 and darts[v][0][0] != darts[v][1][0]), v
+
+
+def test_unfolded_wall_with_two_edges_keeps_its_vertex():
+    # a wall with two edges downstairs lifts to a plain vertex with four
+    # darts, which stays; only walls with one edge are smoothed away
+    g = MarkedGraph(marks={"hub": None, "w.a": wall_mark("a")})
+    g.edges["e1"] = ("w.a", "hub")
+    g.edges["e2"] = ("w.a", "hub")
+    c = Orbicomplex(
+        pieces=[Piece("p", 0, ((FREE, MIRROR, FREE),))],
+        graph=g,
+        attachments={("p", 0, 0): ("e1", -1), ("p", 0, 2): ("e2", 1)},
+    )
+    recompute_multiplicities(c)
+    orbicore.require_valid(c)
+    cover, f = double_cover(c, TwoTorsionLabeling(walls={"a": 1}, mirrors={("p", 0, 1): 1}))
+    assert cover.graph.marks["w.a.m"] is None
+    assert len(cover.graph.darts_by_vertex()["w.a.m"]) == 4
+    assert orbicore.validate_complex(cover) == []
+    assert verify_covering(f).passed
+
+
+def test_edge_between_two_unfolded_walls_smooths_one():
+    # both walls of the edge unfold; only the one whose lift sorts first is
+    # smoothed, and its edge becomes a loop at the other
+    g = MarkedGraph(marks={"W1": wall_mark("a"), "W2": wall_mark("b")})
+    g.edges["e"] = ("W1", "W2")
+    c = Orbicomplex(
+        pieces=[disk_with_cones("d", 2, n_segments=2)],
+        graph=g,
+        attachments={("d", 0, 0): ("e", 1), ("d", 0, 1): ("e", -1)},
+    )
+    recompute_multiplicities(c)
+    orbicore.require_valid(c)
+    cover, f = double_cover(c, TwoTorsionLabeling(walls={"a": 1, "b": 1}))
+    assert cover.graph.marks == {"W2.m": None}
+    assert cover.graph.edges == {"c.W1": ("W2.m", "W2.m")}
+    assert f.edge_map["c.W1"] == [("e", -1), ("e", 1)]
+    # each copy of the disk runs W2 -> W1 -> W2 as one segment
+    assert [p.boundary for p in cover.pieces] == [((FREE,),), ((FREE,),)]
+    assert f.segment_map[("d.0", 0, 0)] == [(0, 1, 1), (0, 0, 1)]
+    assert orbicore.validate_complex(cover) == []
+    assert verify_covering(f).passed
 
 
 def test_zero_labeling_rejected(chain):
@@ -229,6 +292,7 @@ def test_partial_wall_unfolding(chain):
     assert rep.passed
     assert euler_characteristic(cover) == Fraction(-9)
     assert orbicore.validate_complex(cover) == []
+    _assert_wall_lifts_not_bivalent(f)
     connected = [p for p in cover.pieces if p.id.endswith(".01")]
     split = [p for p in cover.pieces if not p.id.endswith(".01")]
     assert len(connected) == 4 and len(split) == 4
@@ -244,6 +308,8 @@ def test_interior_mirror_unfolding(chain):
     rep = verify_covering(f)
     assert rep.passed
     assert euler_characteristic(cover) == Fraction(-9)
+    assert orbicore.validate_complex(cover) == []
+    _assert_wall_lifts_not_bivalent(f)
     glued = [p for p in cover.pieces if p.id.endswith(".01")]
     assert len(glued) == 1
     # 7 mirrors: 14 lifts minus the glued pair, two fused pairs merged
@@ -258,6 +324,8 @@ def test_adjacent_mirror_unfolding_creates_cone(chain):
     cover, f = double_cover(chain.base, phi)
     rep = verify_covering(f)
     assert rep.passed
+    assert orbicore.validate_complex(cover) == []
+    _assert_wall_lifts_not_bivalent(f)
     glued = [p for p in cover.pieces if p.id.endswith(".01")][0]
     assert glued.cones == (2,)
 

@@ -1,14 +1,17 @@
-"""Every narrative demo runs to completion in-process."""
+"""Every narrative demo runs to completion in-process and prints what it
+printed when its golden copy was written."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.txt").read_text()
