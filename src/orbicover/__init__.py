@@ -16,7 +16,6 @@ from .orbicore import (
     euler_characteristic,
     graph_to_dot,
     marked_graph_isomorphism,
-    orbicomplex_isomorphism,
     piece_orbifold_euler,
     ribbon_neighborhood,
     rotation_from_circuits,

@@ -647,23 +647,39 @@ def _fully_attached(c: Orbicomplex, p: Piece) -> bool:
     )
 
 
-def labeling_violations(c: Orbicomplex, phi: TwoTorsionLabeling) -> list[str]:
-    """Relator conditions a two-torsion labeling must satisfy on ``c``.
+def _piece_facts(c: Orbicomplex) -> list[tuple[Piece, bool, bool]]:
+    """Each piece with whether it has mirrors and whether all its free
+    segments are attached."""
+    return [(p, p.has_mirrors, _fully_attached(c, p)) for p in c.pieces]
 
-    Boundary relations only bind fully glued circles; detached boundary
-    imposes nothing.
-    """
+
+def _glued_mirrors(p: Piece, phi: TwoTorsionLabeling) -> set[int]:
+    """The mirror segments of a polygon along which its two sheets glue."""
+    return {
+        si
+        for si, kind in enumerate(p.boundary[0])
+        if kind == MIRROR and phi.mirror((p.id, 0, si)) == 1
+    }
+
+
+def _labeling_violations(
+    c: Orbicomplex, phi: TwoTorsionLabeling, facts: list[tuple[Piece, bool, bool]]
+) -> list[str]:
     out = []
-    for p in c.pieces:
-        if p.has_mirrors:
+    for p, mirrored, attached in facts:
+        if mirrored:
             for ref, label in _mirror_wall_pairs(c, p):
                 if phi.mirror(ref) != phi.wall(label):
                     out.append(f"mirror {ref} disagrees with wall {label!r}")
-            if _fully_attached(c, p):
+            # every lifted segment must lie on a lifted circle through a free one
+            glued, t = _glued_mirrors(p, phi), len(p.boundary[0])
+            if glued and sum(map(len, _trace_polygon(p.boundary[0], glued))) < 2 * (t - len(glued)):
+                out.append(f"polygon {p.id}: glued mirrors leave a lift of mirrors only")
+            if attached:
                 parity = _circle_edge_parity(c, phi, p, 0)
                 if parity != 0:
                     out.append(f"polygon {p.id}: boundary edge word has parity 1")
-        elif _fully_attached(c, p):
+        elif attached:
             total = 0
             for ci in range(len(p.boundary)):
                 total ^= _circle_edge_parity(c, phi, p, ci)
@@ -673,6 +689,13 @@ def labeling_violations(c: Orbicomplex, phi: TwoTorsionLabeling) -> list[str]:
             if total != cone_sum:
                 out.append(f"piece {p.id}: boundary parity {total} != cone parity {cone_sum}")
     return out
+
+
+def labeling_violations(c: Orbicomplex, phi: TwoTorsionLabeling) -> list[str]:
+    """Relator conditions a two-torsion labeling must satisfy on ``c``, and
+    on each polygon a free segment on every lifted boundary circle.
+    Boundary relations only bind fully glued circles."""
+    return _labeling_violations(c, phi, _piece_facts(c))
 
 
 def all_ones_labeling(davis: Orbicomplex) -> TwoTorsionLabeling:
@@ -702,7 +725,8 @@ def _lift_vertex_names(c: Orbicomplex, phi: TwoTorsionLabeling) -> dict[tuple[st
 def _trace_polygon(circle: tuple[str, ...], glued: set[int]) -> list[list[tuple[int, int]]]:
     """Boundary circles of two polygon sheets glued along ``glued`` mirror
     segments, as lists of (segment index, sheet); sheet-1 stretches are
-    traversed in reverse."""
+    traversed in reverse.  Only circles through a free segment are traced:
+    ``labeling_violations`` refuses a labeling whose traces miss a segment."""
     t = len(circle)
     frees = [k for k in range(t) if circle[k] == FREE]
     starts = [(k, s) for k in frees for s in (0, 1)]
@@ -723,16 +747,6 @@ def _trace_polygon(circle: tuple[str, ...], glued: set[int]) -> list[list[tuple[
             if state == start:
                 break
         traces.append(walk)
-    leftovers = {
-        (k, s)
-        for k in range(t)
-        for s in (0, 1)
-        if k not in glued and (k, s) not in emitted
-    }
-    if leftovers:
-        raise UnsupportedPiece(
-            "polygon double cover has a boundary circle without free segments"
-        )
     return traces
 
 
@@ -794,17 +808,18 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     lifts of its edge form one edge ``c.<wall>``, which maps to a folded
     path of length two, and the piece segments that meet there merge.
     """
-    problems = labeling_violations(c, phi)
+    facts = _piece_facts(c)
+    problems = _labeling_violations(c, phi, facts)
     if problems:
         raise NotAHomomorphism("; ".join(problems))
     if not phi.is_surjective():
         raise NotSurjective("labeling is identically zero")
-    for p in c.pieces:
-        if p.has_mirrors:
+    for p, mirrored, attached in facts:
+        if mirrored:
             _require_polygon(p)
         else:
             _require_cone_disk(p)
-        if not _fully_attached(c, p):
+        if not attached:
             raise UnsupportedPiece(f"piece {p.id} must be fully attached")
 
     names = _lift_vertex_names(c, phi)
@@ -864,7 +879,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     attachments[(pid, ci, si)] = att
         return piece
 
-    for p in c.pieces:
+    for p, mirrored, _attached in facts:
         circle = p.boundary[0]
         t = len(circle)
         # sheet offset of junction j relative to junction 0
@@ -894,12 +909,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                 for j in range(len(p.cones)):
                     cone_fibers.setdefault((p.id, j), []).append(("cone", pid2, j))
 
-        if p.has_mirrors:
-            glued = {
-                si
-                for si, kind in enumerate(circle)
-                if kind == MIRROR and phi.mirror((p.id, 0, si)) == 1
-            }
+        if mirrored:
+            glued = _glued_mirrors(p, phi)
             if not glued:
                 lift_to_two_copies()
                 continue

@@ -4,7 +4,6 @@ form used to certify homotopy equivalence."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,6 +12,7 @@ from .orbicore import (
     FREE,
     MIRROR,
     MalformedRotation,
+    MarkedGraph,
     Orbicomplex,
     OrbicoverError,
     Piece,
@@ -20,6 +20,7 @@ from .orbicore import (
     attachment_circuit,
     is_wall,
     euler_characteristic,
+    iter_marked_graph_isomorphisms,
     marked_graph_isomorphism,
     reverse_walk,
     ribbon_neighborhood,
@@ -134,13 +135,6 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
     factors = smith_normal_form(matrix)
     torsion = tuple(d for d in factors if d > 1)
     return AbelianInvariants(len(p.generators) - len(factors), torsion)
-
-
-def presentation_betti(p: GroupPresentation) -> tuple[int, int]:
-    """(rank H_1, rank H_2) of the presentation 2-complex."""
-    matrix = _exponent_matrix(p)
-    rank = len(smith_normal_form(matrix)) if matrix else 0
-    return (len(p.generators) - rank, len(p.relators) - rank)
 
 
 # ---------------------------------------------------------------------------
@@ -389,82 +383,49 @@ def planar_normal_form(
     return NormalForm(tuple(comp_data), tuple(sorted(entries)))
 
 
+def _incidence_graph(n: NormalForm) -> tuple[MarkedGraph, dict[str, tuple], dict[str, tuple]]:
+    """A normal form as a coloured multigraph: a vertex per component, face
+    and piece; an edge from each face to its component, and one from each
+    piece per boundary circle to its face.  Returns the graph, the vertex
+    colours, and per component or face vertex its part of a matching and
+    its cell there."""
+    g = MarkedGraph()
+    colours: dict[str, tuple] = {}
+    cells: dict[str, tuple] = {}
+
+    def vertex(v: str, colour: tuple) -> str:
+        g.marks[v], colours[v] = None, colour
+        return v
+
+    for i, (genus, circles) in enumerate(n.components):
+        comp = vertex(f"c{i}", (0, genus, circles))
+        cells[comp] = ("components", i)
+        for f in range(circles):
+            face = vertex(f"f{i}.{f}", (1,))
+            cells[face] = ("faces", (i, f))
+            g.edges[face] = (face, comp)
+    for k, (key, faces) in enumerate(n.pieces):
+        piece = vertex(f"p{k}", (2, key))
+        for ci, (i, f) in enumerate(faces):
+            g.edges[f"{piece}.{ci}"] = (piece, f"f{i}.{f}")
+    return g, colours, cells
+
+
 def normal_forms_isomorphic(n1: NormalForm, n2: NormalForm) -> Optional[dict]:
-    """A label-preserving isomorphism of the bipartite incidence structures,
-    or None."""
-    if sorted(n1.components) != sorted(n2.components):
+    """A bijection of components and of faces under which the pieces, with
+    their types and face incidences, correspond; None if there is none.
+
+    Returned as ``{"components": {i: j}, "faces": {(i, f): (j, g)}}``.
+    """
+    g1, colours1, cells1 = _incidence_graph(n1)
+    g2, colours2, cells2 = _incidence_graph(n2)
+    vmap = next(iter_marked_graph_isomorphisms(g1, colours1, g2, colours2), None)
+    if vmap is None:
         return None
-    if sorted(k for k, _f in n1.pieces) != sorted(k for k, _f in n2.pieces):
-        return None
-
-    comps1 = list(range(len(n1.components)))
-    comps2 = list(range(len(n2.components)))
-
-    def backtrack_components():
-        pools: dict[tuple, list[int]] = {}
-        for j in comps2:
-            pools.setdefault(n2.components[j], []).append(j)
-
-        def rec(i, acc):
-            if i == len(comps1):
-                yield dict(acc)
-                return
-            key = n1.components[i]
-            for j in list(pools.get(key, [])):
-                pools[key].remove(j)
-                acc[i] = j
-                yield from rec(i + 1, acc)
-                del acc[i]
-                pools[key].append(j)
-
-        yield from rec(0, {})
-
-    pieces2_by_type: dict[tuple, list[int]] = {}
-    for idx, (key, _faces) in enumerate(n2.pieces):
-        pieces2_by_type.setdefault(key, []).append(idx)
-
-    for comp_map in backtrack_components():
-        face_map: dict[tuple[int, int], tuple[int, int]] = {}
-        used2: set[int] = set()
-
-        def piece_rec(i):
-            if i == len(n1.pieces):
-                return True
-            key, faces1 = n1.pieces[i]
-            for idx2 in pieces2_by_type.get(key, []):
-                if idx2 in used2:
-                    continue
-                _key2, faces2 = n2.pieces[idx2]
-                for perm in itertools.permutations(faces2):
-                    trial = {}
-                    ok = True
-                    for fa, fb in zip(faces1, perm):
-                        if comp_map[fa[0]] != fb[0]:
-                            ok = False
-                            break
-                        known = face_map.get(fa, trial.get(fa))
-                        if known is None:
-                            if fb in face_map.values() or fb in trial.values():
-                                ok = False
-                                break
-                            trial[fa] = fb
-                        elif known != fb:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    face_map.update(trial)
-                    used2.add(idx2)
-                    if piece_rec(i + 1):
-                        return True
-                    used2.discard(idx2)
-                    for k in trial:
-                        face_map.pop(k, None)
-            return False
-
-        if piece_rec(0):
-            return {"components": dict(comp_map), "faces": dict(face_map)}
-    return None
+    matching: dict[str, dict] = {"components": {}, "faces": {}}
+    for v, (part, cell) in cells1.items():
+        matching[part][cell] = cells2[vmap[v]][1]
+    return matching
 
 
 def homotopy_equivalence_certificate(

@@ -9,7 +9,6 @@ marked graph.  Everything is exact: Euler characteristics are
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -255,13 +254,6 @@ class Orbicomplex:
                 return p
         raise KeyError(pid)
 
-    def census(self) -> dict[tuple, int]:
-        out: dict[tuple, int] = {}
-        for p in self.pieces:
-            key = p.census_key()
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def seg_endpoints(self, ref: SegRef) -> Optional[tuple[str, str]]:
         """Graph vertices at the start/end of an attached segment, in the
         circle's traversal direction; None if unattached or dangling."""
@@ -483,86 +475,93 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
 # marked graph isomorphism
 
 
-def _pair_profile(g: MarkedGraph, comp: set[str]) -> dict[tuple[str, str], list[int]]:
-    """Sorted endpoint pair -> sorted multiplicities of the edges joining
-    them, over the edges of one component (loops as (v, v))."""
-    out: dict[tuple[str, str], list[int]] = {}
-    for e, (u, v) in g.edges.items():
-        if u in comp:
-            out.setdefault(tuple(sorted((u, v))), []).append(g.multiplicity.get(e, 0))
-    for mults in out.values():
-        mults.sort()
-    return out
+class _SearchIndex:
+    """What the isomorphism search reads of one coloured graph, built once
+    per search: neighbour lists, the sorted multiplicities of the edges
+    joining each vertex pair, and the components in key order."""
+
+    def __init__(self, g: MarkedGraph, colours: dict[str, tuple]):
+        self.nbrs: dict[str, set[str]] = {v: set() for v in g.marks}
+        self.between: dict[tuple[str, str], list[int]] = {}
+        for e, (u, v) in g.edges.items():
+            self.nbrs[u].add(v)
+            self.nbrs[v].add(u)
+            self.between.setdefault(_pair(u, v), []).append(g.multiplicity.get(e, 0))
+        for mults in self.between.values():
+            mults.sort()
+
+        comps = g.components()
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        profiles: list[list[list[int]]] = [[] for _ in comps]
+        for (u, _v), mults in self.between.items():
+            profiles[comp_of[u]].append(mults)
+        keyed = sorted(
+            ((_component_key(comp, colours, profile), min(comp)), comp)
+            for comp, profile in zip(comps, profiles)
+        )
+        self.keys = [key for (key, _root), _comp in keyed]
+        self.comps = [sorted(comp) for _key, comp in keyed]
+
+    def edges(self, v: str, u: str) -> list[int]:
+        """Sorted multiplicities of the edges joining v and u."""
+        return self.between.get(_pair(v, u), [])
 
 
-def _refined_signatures(g: MarkedGraph, verts: list[str]) -> dict[str, tuple]:
-    """Vertex colors refined by iterated neighborhood structure."""
-    darts = g.darts_by_vertex()
-    adj: dict[str, list[tuple[str, int, int]]] = {v: [] for v in verts}
-    for v in verts:
-        for e, i in darts[v]:
-            u = g.edges[e][1 - i]
-            if u != v or i == 0:  # a loop is listed once
-                adj[v].append((u, g.multiplicity.get(e, 0), int(u == v)))
-    sig = {v: (mark_kind(g.marks[v]), tuple(sorted((m, lp) for _u, m, lp in adj[v])))
-           for v in verts}
-    for _round in range(len(verts)):
-        nxt = {
-            v: (sig[v], tuple(sorted((m, lp, sig[u]) for u, m, lp in adj[v])))
-            for v in verts
-        }
-        if len(set(nxt.values())) == len(set(sig.values())):
-            sig = nxt
-            break
-        sig = nxt
-    # compress to stable small keys
-    order = sorted(set(sig.values()))
-    rank = {s: i for i, s in enumerate(order)}
-    return {v: (rank[s],) for v, s in sig.items()}
+def _pair(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u <= v else (v, u)
 
 
-def _component_key(g: MarkedGraph, comp: set[str]) -> tuple:
-    profile = _pair_profile(g, comp)
+def _component_key(comp: set[str], colours: dict[str, tuple], profile: list[list[int]]) -> tuple:
     return (
         len(comp),
-        sum(map(len, profile.values())),
-        tuple(sorted(mark_kind(g.marks[v]) for v in comp)),
-        tuple(sorted(map(tuple, profile.values()))),
+        sum(map(len, profile)),
+        tuple(sorted(colours[v] for v in comp)),
+        tuple(sorted(map(tuple, profile))),
     )
 
 
+def _refined_signatures(
+    index: _SearchIndex, colours: dict[str, tuple], verts: list[str]
+) -> dict[str, int]:
+    """Vertex colours refined by iterated neighbourhood structure; each
+    round's signatures are compressed to their ranks."""
+    # (neighbour, multiplicity, is loop) per edge end; a loop is listed once
+    adj = {v: [(u, m, int(u == v)) for u in index.nbrs[v] for m in index.edges(v, u)]
+           for v in verts}
+
+    def ranked(sig: dict[str, tuple]) -> dict[str, int]:
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        return {v: rank[s] for v, s in sig.items()}
+
+    sig = ranked({v: (colours[v], tuple(sorted((m, lp) for _u, m, lp in adj[v])))
+                  for v in verts})
+    for _round in range(len(verts)):
+        nxt = ranked({
+            v: (sig[v], tuple(sorted((m, lp, sig[u]) for u, m, lp in adj[v])))
+            for v in verts
+        })
+        stable = len(set(nxt.values())) == len(set(sig.values()))
+        sig = nxt
+        if stable:
+            break
+    return sig
+
+
 def _component_isos(
-    g1: MarkedGraph, c1: set[str], g2: MarkedGraph, c2: set[str]
+    a: _SearchIndex, verts1: list[str], sig1: dict[str, int],
+    b: _SearchIndex, verts2: list[str], sig2: dict[str, int],
 ) -> Iterator[dict[str, str]]:
-    verts1, verts2 = sorted(c1), sorted(c2)
-    if len(verts1) != len(verts2):
-        return
-    sig1 = _refined_signatures(g1, verts1)
-    sig2 = _refined_signatures(g2, verts2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return
 
-    darts1, darts2 = g1.darts_by_vertex(), g2.darts_by_vertex()
-    adj1 = {v: {g1.edges[e][1 - i] for e, i in darts1[v]} for v in verts1}
-    adj2 = {w: {g2.edges[e][1 - i] for e, i in darts2[w]} for w in verts2}
-    between1, between2 = _pair_profile(g1, c1), _pair_profile(g2, c2)
-
-    def same_edges(v: str, u: str, w: str, x: str) -> bool:
-        """Edges v--u in g1 and w--x in g2 agree in number and multiplicity."""
-        return (between1.get(tuple(sorted((v, u))), [])
-                == between2.get(tuple(sorted((w, x))), []))
-
     # BFS order so every vertex after the root touches a mapped one
-    freq: dict[tuple, int] = {}
-    for v in verts1:
-        freq[sig1[v]] = freq.get(sig1[v], 0) + 1
+    freq = Counter(sig1.values())
     root = min(verts1, key=lambda v: (freq[sig1[v]], v))
     order = [root]
     seen = {root}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
-        for u in sorted(adj1[v]):
+        for u in sorted(a.nbrs[queue.popleft()]):
             if u not in seen:
                 seen.add(u)
                 order.append(u)
@@ -576,17 +575,15 @@ def _component_isos(
             yield dict(mapping)
             return
         v = order[i]
-        anchors = [u for u in adj1[v] if u in mapping]
-        if anchors:
-            cands = set.intersection(*(adj2[mapping[u]] for u in anchors))
-        else:
-            cands = set(verts2)
+        anchors = [u for u in a.nbrs[v] if u in mapping]
+        cands = set.intersection(*(b.nbrs[mapping[u]] for u in anchors)) if anchors else verts2
         for w in sorted(cands):
-            if w in used or sig2[w] != sig1[v]:
-                continue
-            if not same_edges(v, v, w, w):
-                continue
-            if not all(same_edges(v, u, w, mapping[u]) for u in mapping):
+            # as v has no edge to its mapped non-neighbours, w has as many
+            # mapped neighbours as v
+            if (w in used or sig2[w] != sig1[v]
+                    or len(b.nbrs[w] & used) != len(anchors)
+                    or a.edges(v, v) != b.edges(w, w)
+                    or any(a.edges(v, u) != b.edges(w, mapping[u]) for u in anchors)):
                 continue
             mapping[v] = w
             used.add(w)
@@ -597,27 +594,32 @@ def _component_isos(
     yield from extend(0)
 
 
-def iter_marked_graph_isomorphisms(g1: MarkedGraph, g2: MarkedGraph) -> Iterator[dict[str, str]]:
+def iter_marked_graph_isomorphisms(
+    g1: MarkedGraph, colours1: dict[str, tuple], g2: MarkedGraph, colours2: dict[str, tuple]
+) -> Iterator[dict[str, str]]:
+    """Every vertex bijection g1 -> g2 that preserves colours, adjacency and
+    edge multiplicities, in a deterministic order.
+
+    Backtracking over components with refined-signature partition pruning
+    and connectivity-first candidate ordering.  Colours are tuples, all
+    mutually orderable.
+    """
     if len(g1.marks) != len(g2.marks) or len(g1.edges) != len(g2.edges):
         return
-
-    def keyed_components(g: MarkedGraph) -> tuple[list[tuple], list[set[str]]]:
-        keyed = sorted(((_component_key(g, c), min(c)), c) for c in g.components())
-        return [key for (key, _root), _c in keyed], [c for _key, c in keyed]
-
-    keys1, comps1 = keyed_components(g1)
-    keys2, comps2 = keyed_components(g2)
-    if keys1 != keys2:  # both already in key order
+    a, b = _SearchIndex(g1, colours1), _SearchIndex(g2, colours2)
+    if a.keys != b.keys:  # both already in key order
         return
+    sigs1 = [_refined_signatures(a, colours1, verts) for verts in a.comps]
+    sigs2 = [_refined_signatures(b, colours2, verts) for verts in b.comps]
 
     def match(i: int, taken: set[int], acc: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(comps1):
+        if i == len(a.comps):
             yield dict(acc)
             return
-        for j in range(len(comps2)):
-            if j in taken or keys2[j] != keys1[i]:
+        for j in range(len(b.comps)):
+            if j in taken or b.keys[j] != a.keys[i]:
                 continue
-            for part in _component_isos(g1, comps1[i], g2, comps2[j]):
+            for part in _component_isos(a, a.comps[i], sigs1[i], b, b.comps[j], sigs2[j]):
                 acc.update(part)
                 taken.add(j)
                 yield from match(i + 1, taken, acc)
@@ -631,14 +633,15 @@ def iter_marked_graph_isomorphisms(g1: MarkedGraph, g2: MarkedGraph) -> Iterator
 def marked_graph_isomorphism(g1: MarkedGraph, g2: MarkedGraph) -> Optional[dict[str, str]]:
     """A mark/adjacency/multiplicity-preserving vertex bijection, or None.
 
-    Backtracking over components with refined-signature partition pruning
-    and connectivity-first candidate ordering; deterministic.  Inputs are
-    expected in topological form when used to decide homeomorphism of
-    singular subspaces.
+    The first bijection of ``iter_marked_graph_isomorphisms``, with each
+    vertex coloured by the kind of its mark.  Inputs are expected in
+    topological form when used to decide homeomorphism of singular
+    subspaces.
     """
-    for mapping in iter_marked_graph_isomorphisms(g1, g2):
-        return mapping
-    return None
+    def kinds(g: MarkedGraph) -> dict[str, tuple]:
+        return {v: (mark_kind(m),) for v, m in g.marks.items()}
+
+    return next(iter_marked_graph_isomorphisms(g1, kinds(g1), g2, kinds(g2)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +797,7 @@ def rotation_from_circuits(
 
 
 # ---------------------------------------------------------------------------
-# attachment circuits and complex isomorphism
+# attachment circuits
 
 
 def attachment_circuit(c: Orbicomplex, p: Piece, ci: int) -> Optional[list[tuple[str, int]]]:
@@ -829,74 +832,6 @@ def _canonical_cycle(walk: list[tuple[str, int]]) -> tuple:
         for r in range(n):
             variants.append(tuple(w[r:] + w[:r]))
     return min(variants)
-
-
-def orbicomplex_isomorphism(c1: Orbicomplex, c2: Orbicomplex) -> Optional[dict]:
-    """A cell-level isomorphism (graph bijection + piece matching), or None.
-
-    Pieces must match in type and, for fully attached circles, in the image
-    of their attachment circuits up to rotation and reversal.
-    """
-    if sorted(c1.census().items()) != sorted(c2.census().items()):
-        return None
-    circ1, circ2 = all_attachment_circuits(c1), all_attachment_circuits(c2)
-    by_piece1: dict[str, list] = {p.id: [] for p in c1.pieces}
-    for (pid, ci), w in circ1.items():
-        by_piece1[pid].append(w)
-
-    target_profiles: dict[tuple, list[str]] = {}
-    for p in c2.pieces:
-        walks = [circ2[(p.id, ci)] for ci in range(len(p.boundary)) if (p.id, ci) in circ2]
-        key = (p.census_key(), tuple(sorted(_canonical_cycle(w) for w in walks)))
-        target_profiles.setdefault(key, []).append(p.id)
-
-    for vmap in iter_marked_graph_isomorphisms(c1.graph, c2.graph):
-        # parallel classes: edges sharing mapped endpoints and multiplicity
-        # may pair up in any order, so try every bijection per class
-        classes: dict[tuple, list[str]] = {}
-        for e in c1.graph.edge_ids():
-            a, b = c1.graph.edges[e]
-            key = (tuple(sorted((vmap[a], vmap[b]))), c1.graph.multiplicity.get(e, 0))
-            classes.setdefault(key, []).append(e)
-        pools2: dict[tuple, list[str]] = {}
-        for f, (x, y) in c2.graph.edges.items():
-            key = (tuple(sorted((x, y))), c2.graph.multiplicity.get(f, 0))
-            pools2.setdefault(key, []).append(f)
-        if any(len(classes.get(k, [])) != len(pools2.get(k, []))
-               for k in set(classes) | set(pools2)):
-            continue
-        class_keys = sorted(classes)
-        choices = [
-            itertools.permutations(sorted(pools2[k])) for k in class_keys
-        ]
-        for combo in itertools.product(*choices):
-            emap = {}
-            for k, perm in zip(class_keys, combo):
-                emap.update(zip(sorted(classes[k]), perm))
-
-            def map_walk(w):
-                out = []
-                for e, d in w:
-                    a, b = c1.graph.edges[e]
-                    x, y = c2.graph.edges[emap[e]]
-                    same = (vmap[a], vmap[b]) == (x, y)
-                    out.append((emap[e], d if same else -d))
-                return out
-
-            pools = {k: list(v) for k, v in target_profiles.items()}
-            pmap: dict[str, str] = {}
-            ok = True
-            for p in sorted(c1.pieces, key=lambda q: q.id):
-                walks = [map_walk(w) for w in by_piece1[p.id]]
-                key = (p.census_key(), tuple(sorted(_canonical_cycle(w) for w in walks)))
-                pool = pools.get(key)
-                if not pool:
-                    ok = False
-                    break
-                pmap[p.id] = pool.pop(0)
-            if ok:
-                return {"vertices": vmap, "edges": emap, "pieces": pmap}
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """JSON schemas for every on-disk object: defining graphs, presentations,
-marked graphs, orbicomplexes, covering maps, and reports.  parse(serialize(x))
-round-trips exactly."""
+marked graphs, orbicomplexes, covering maps, and reports.  The objects a
+command reads round-trip exactly, parse(serialize(x)) == x; presentations
+and reports are only written."""
 
 from __future__ import annotations
 
@@ -97,14 +98,6 @@ def presentation_to_json(p: GroupPresentation) -> dict:
         "generators": list(p.generators),
         "relators": [[[g, e] for g, e in rel] for rel in p.relators],
     }
-
-
-def presentation_from_json(data: dict) -> GroupPresentation:
-    gens = tuple(_need(data, "generators"))
-    relators = tuple(
-        tuple((g, _int(e, "relator exponent")) for g, e in rel) for rel in _need(data, "relators")
-    )
-    return GroupPresentation(gens, relators)
 
 
 # --- marked graphs ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Deliberately reimplemented from first principles: a full weighted cell
 decomposition for Euler characteristics, determinantal divisors for Smith
-normal form, and all-permutations search for marked graph isomorphism.
+normal form, and all-permutations search for marked graph and normal form
+isomorphism.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from orbicover.orbicore import MIRROR, MarkedGraph, Orbicomplex, RAM2
+from orbicover.invariants import NormalForm
+from orbicover.orbicore import (
+    MIRROR,
+    RAM2,
+    MarkedGraph,
+    Orbicomplex,
+    disk_with_cones,
+    surface_with_boundary,
+)
 
 
 def weighted_cell_euler(c: Orbicomplex) -> Fraction:
@@ -103,6 +112,20 @@ def _pair_multiset(g: MarkedGraph, u: str, v: str):
     return sorted(out)
 
 
+def is_marked_graph_isomorphism(g1: MarkedGraph, g2: MarkedGraph, mapping: dict) -> bool:
+    """Whether ``mapping`` is a bijection of vertices that keeps mark
+    classes and the edge multiplicities between every pair of vertices."""
+    v1 = g1.vertices()
+    if sorted(mapping) != v1 or sorted(mapping.values()) != g2.vertices():
+        return False
+    if any(_mark_class(g1.marks[a]) != _mark_class(g2.marks[mapping[a]]) for a in v1):
+        return False
+    return all(
+        _pair_multiset(g1, a, b) == _pair_multiset(g2, mapping[a], mapping[b])
+        for a, b in itertools.combinations_with_replacement(v1, 2)
+    )
+
+
 def brute_force_graph_iso(g1: MarkedGraph, g2: MarkedGraph):
     """All-permutations marked graph isomorphism (small graphs only)."""
     v1, v2 = g1.vertices(), g2.vertices()
@@ -110,14 +133,7 @@ def brute_force_graph_iso(g1: MarkedGraph, g2: MarkedGraph):
         return None
     for perm in itertools.permutations(v2):
         mapping = dict(zip(v1, perm))
-        if any(_mark_class(g1.marks[a]) != _mark_class(g2.marks[mapping[a]]) for a in v1):
-            continue
-        ok = True
-        for a, b in itertools.combinations_with_replacement(v1, 2):
-            if _pair_multiset(g1, a, b) != _pair_multiset(g2, mapping[a], mapping[b]):
-                ok = False
-                break
-        if ok:
+        if is_marked_graph_isomorphism(g1, g2, mapping):
             return mapping
     return None
 
@@ -154,3 +170,64 @@ def relabeled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
         out.edges[f"f_{e2}"] = (f"w_{vmap[u]}", f"w_{vmap[v]}")
         out.multiplicity[f"f_{e2}"] = g.multiplicity.get(e, 0)
     return out
+
+
+def brute_force_normal_form_iso(n1: NormalForm, n2: NormalForm):
+    """All-permutations normal form isomorphism (small normal forms only):
+    every component permutation, then every face bijection, then compare
+    the piece multisets."""
+    k = len(n1.components)
+    if k != len(n2.components):
+        return None
+    want = sorted(n2.pieces)
+    for perm in itertools.permutations(range(k)):
+        if any(n1.components[i] != n2.components[perm[i]] for i in range(k)):
+            continue
+        circles = [n1.components[i][1] for i in range(k)]
+        for face_perms in itertools.product(*(itertools.permutations(range(c)) for c in circles)):
+            faces = {
+                (i, f): (perm[i], face_perms[i][f]) for i in range(k) for f in range(circles[i])
+            }
+            mapped = sorted((key, tuple(sorted(faces[x] for x in fs))) for key, fs in n1.pieces)
+            if mapped == want:
+                return {"components": dict(enumerate(perm)), "faces": faces}
+    return None
+
+
+_PIECE_KEYS = [
+    disk_with_cones("d", 2).census_key(),
+    disk_with_cones("d", 3).census_key(),
+    surface_with_boundary("s", 0, 2).census_key(),
+    surface_with_boundary("s", 1, 2).census_key(),
+    surface_with_boundary("s", 0, 3).census_key(),
+]
+
+
+def random_normal_form(rng: random.Random, like: NormalForm = None) -> NormalForm:
+    """Up to 3 components with up to 3 faces each and up to 5 pieces on
+    random faces; ``like`` keeps its components and piece types."""
+    if like is None:
+        comps = tuple((rng.randint(0, 1), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+        keys = [rng.choice(_PIECE_KEYS) for _ in range(rng.randint(0, 5))]
+    else:
+        comps, keys = like.components, [key for key, _faces in like.pieces]
+    faces = [(i, f) for i, (_genus, circles) in enumerate(comps) for f in range(circles)]
+    pieces = [(key, tuple(sorted(rng.choice(faces) for _ in key[1]))) for key in keys]
+    return NormalForm(comps, tuple(sorted(pieces)))
+
+
+def relabeled_normal_form(n: NormalForm, rng: random.Random) -> NormalForm:
+    """The same normal form with components, faces and pieces reordered."""
+    perm = list(range(len(n.components)))
+    rng.shuffle(perm)
+    faces = {}
+    for i, (_genus, circles) in enumerate(n.components):
+        order = list(range(circles))
+        rng.shuffle(order)
+        faces.update({(i, f): (perm[i], order[f]) for f in range(circles)})
+    comps = [None] * len(perm)
+    for i, comp in enumerate(n.components):
+        comps[perm[i]] = comp
+    pieces = [(key, tuple(sorted(faces[x] for x in fs))) for key, fs in n.pieces]
+    rng.shuffle(pieces)
+    return NormalForm(tuple(comps), tuple(pieces))

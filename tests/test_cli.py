@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from orbicover import cli, coxeter, covers, orbicore, serialize
+from orbicover import cli, coxeter, covers, invariants, orbicore, serialize
 from orbicover.serialize import (
     covering_map_from_json,
     covering_map_to_json,
@@ -13,8 +13,6 @@ from orbicover.serialize import (
     marked_graph_to_json,
     orbicomplex_from_json,
     orbicomplex_to_json,
-    presentation_from_json,
-    presentation_to_json,
 )
 
 
@@ -25,11 +23,6 @@ from orbicover.serialize import (
 def test_defining_graph_roundtrip():
     g = coxeter.demo_defining_graph()
     assert defining_graph_from_json(defining_graph_to_json(g)) == g
-
-
-def test_presentation_roundtrip():
-    pres = coxeter.racg_presentation(coxeter.demo_defining_graph())
-    assert presentation_from_json(presentation_to_json(pres)) == pres
 
 
 def test_marked_graph_roundtrip(chain):
@@ -215,6 +208,18 @@ def test_cmd_pi1_ab(demo_graph_file, tmp_path, capsys):
     assert run_cli("pi1", str(out_file), "--ab") == 0
     out = capsys.readouterr().out
     assert out.count("Z/2") == 25
+
+
+def test_cmd_pi1_json(chain, tmp_path, capsys):
+    # the presentation is printed as generators and [generator, exponent] relators
+    path = tmp_path / "y.json"
+    path.write_text(serialize.dumps(orbicomplex_to_json(chain.y)))
+    assert run_cli("pi1", str(path)) == 0
+    pres = invariants.fundamental_group_presentation(chain.y)
+    assert json.loads(capsys.readouterr().out) == {
+        "generators": list(pres.generators),
+        "relators": [[[g, e] for g, e in rel] for rel in pres.relators],
+    }
 
 
 def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):

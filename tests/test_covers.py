@@ -299,6 +299,26 @@ def test_partial_wall_unfolding(chain):
     assert all(not p.cones for p in cover.pieces)
 
 
+@pytest.mark.parametrize("walls", [("v1",), ("v2",), ("v3",), ("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
+def test_labeling_violations_exactly_when_double_cover_refuses(chain, walls):
+    # unfold the walls with every mirror next to them: a polygon between
+    # two unfolded walls would lift to an annulus with a circle of mirrors
+    # only, which the labeling check must refuse rather than the builder
+    phi = TwoTorsionLabeling(walls={w: 1 for w in walls})
+    for p in chain.base.pieces:
+        for ref, label in covers._mirror_wall_pairs(chain.base, p):
+            if label in walls:
+                phi.mirrors[ref] = 1
+    problems = covers.labeling_violations(chain.base, phi)
+    assert bool(problems) == (len(walls) == 2)
+    if problems:
+        with pytest.raises(NotAHomomorphism, match="mirrors only"):
+            double_cover(chain.base, phi)
+    else:
+        _cover, f = double_cover(chain.base, phi)
+        assert verify_covering(f).passed
+
+
 def test_interior_mirror_unfolding(chain):
     # unfolding one interior mirror fuses the adjacent mirror lifts across
     # the sheets into single segments (smooth mirror points, not corners)

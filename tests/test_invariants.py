@@ -13,7 +13,6 @@ from orbicover.invariants import (
     homotopy_equivalence_certificate,
     normal_forms_isomorphic,
     planar_normal_form,
-    presentation_betti,
     smith_normal_form,
     torsion_freeness,
 )
@@ -25,7 +24,12 @@ from orbicover.orbicore import (
     recompute_multiplicities,
 )
 
-from oracles import snf_determinantal
+from oracles import (
+    brute_force_normal_form_iso,
+    random_normal_form,
+    relabeled_normal_form,
+    snf_determinantal,
+)
 
 
 def loop_complex(n_cones):
@@ -128,12 +132,12 @@ def test_presentation_disconnected_rejected():
         fundamental_group_presentation(c)
 
 
-def test_presentation_betti_matches_euler_for_torsion_free(chain):
-    # rank H1 - rank H2 of the presentation complex equals 1 - chi
+def test_presentation_size_matches_euler_for_torsion_free(chain):
+    # the presentation complex has one vertex, a loop per generator and a
+    # disk per relator, so its Euler characteristic equals the hat's
     for hat in (chain.y_hat, chain.z_hat):
         pres = fundamental_group_presentation(hat)
-        b1, b2 = presentation_betti(pres)
-        assert b1 - b2 == 1 - euler_characteristic(hat) == 145
+        assert len(pres.generators) - len(pres.relators) == 1 - euler_characteristic(hat) == 145
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +162,38 @@ def test_pair_normal_forms_isomorphic(chain):
     ny = planar_normal_form(chain.y)
     nz = planar_normal_form(chain.z)
     assert normal_forms_isomorphic(ny, nz) is not None
+
+
+def _assert_normal_form_matching(n1, n2, matching):
+    """Components and faces map bijectively, colour- and incidence-true, and
+    carry the pieces of n1 onto those of n2."""
+    comps, faces = matching["components"], matching["faces"]
+    assert sorted(comps) == sorted(comps.values()) == list(range(len(n1.components)))
+    assert all(n1.components[i] == n2.components[j] for i, j in comps.items())
+    all_faces = [(i, f) for i, (_g, circles) in enumerate(n1.components) for f in range(circles)]
+    assert sorted(faces) == all_faces
+    assert sorted(faces.values()) == [
+        (j, f) for j, (_g, circles) in enumerate(n2.components) for f in range(circles)
+    ]
+    assert all(j == comps[i] for (i, _f), (j, _g) in faces.items())
+    mapped = sorted((key, tuple(sorted(faces[x] for x in fs))) for key, fs in n1.pieces)
+    assert mapped == sorted(n2.pieces)
+
+
+def test_normal_forms_isomorphic_agrees_with_brute_force():
+    # half relabelled copies, half same components and piece types on
+    # random faces
+    rng = random.Random(23)
+    found = 0
+    for k in range(200):
+        n1 = random_normal_form(rng)
+        n2 = relabeled_normal_form(n1, rng) if k % 2 else random_normal_form(rng, like=n1)
+        got = normal_forms_isomorphic(n1, n2)
+        assert (got is None) == (brute_force_normal_form_iso(n1, n2) is None), (n1, n2)
+        if got is not None:
+            _assert_normal_form_matching(n1, n2, got)
+            found += 1
+    assert 100 < found < 200
 
 
 def test_bad_rotation_makes_circuits_not_faces(chain):

@@ -24,7 +24,13 @@ from orbicover.orbicore import (
     validate_complex,
 )
 
-from oracles import brute_force_graph_iso, random_marked_graph, relabeled_copy, weighted_cell_euler
+from oracles import (
+    brute_force_graph_iso,
+    is_marked_graph_isomorphism,
+    random_marked_graph,
+    relabeled_copy,
+    weighted_cell_euler,
+)
 
 
 def polygon_piece(n, pid="p"):
@@ -307,6 +313,30 @@ def test_iso_agrees_with_brute_force_on_small_graphs():
         got = marked_graph_isomorphism(g, h)
         want = brute_force_graph_iso(g, h)
         assert (got is None) == (want is None)
+        assert got is None or is_marked_graph_isomorphism(g, h, got)
+
+
+def test_iso_tells_apart_graphs_the_refinement_cannot():
+    # two prisms with multiplicity 2 on a perfect matching: the three rungs,
+    # or one rung and two triangle edges.  Every vertex has the same
+    # refined signature in both; only the edge checks of the search see
+    # that the multiplicity-1 edges form two triangles in one, a hexagon in
+    # the other
+    def prism(doubled):
+        g = MarkedGraph(marks={v: None for v in ("a1", "a2", "a3", "b1", "b2", "b3")})
+        pairs = [("a1", "a2"), ("a2", "a3"), ("a1", "a3"), ("b1", "b2"), ("b2", "b3"),
+                 ("b1", "b3"), ("a1", "b1"), ("a2", "b2"), ("a3", "b3")]
+        for k, (u, v) in enumerate(pairs):
+            g.edges[f"e{k}"] = (u, v)
+            g.multiplicity[f"e{k}"] = 2 if (u, v) in doubled else 1
+        return g
+
+    rungs = prism({("a1", "b1"), ("a2", "b2"), ("a3", "b3")})
+    mixed = prism({("a1", "b1"), ("a2", "a3"), ("b2", "b3")})
+    assert brute_force_graph_iso(rungs, mixed) is None
+    assert marked_graph_isomorphism(rungs, mixed) is None
+    got = marked_graph_isomorphism(mixed, relabeled_copy(mixed, random.Random(2)))
+    assert got is not None
 
 
 def test_iso_mapping_is_valid_bijection():
