@@ -5,6 +5,7 @@ form used to certify homotopy equivalence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional
 
 from .coxeter import GroupPresentation, Word
@@ -40,9 +41,6 @@ class AbelianInvariants:
     free_rank: int
     torsion: tuple[int, ...]
 
-    def two_rank(self) -> int:
-        return self.free_rank + sum(1 for d in self.torsion if d % 2 == 0)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank:
@@ -56,63 +54,57 @@ class AbelianInvariants:
 
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, positive.
 
-    Exact arbitrary-precision arithmetic; returns only the nonzero diagonal
-    entries, normalized positive.
+    Sparse elimination over {column: entry} rows (Havas and Majewski 1997).
+    The pivot is an entry of least absolute value, ties broken by Markowitz
+    cost, so unit pivots come first and a singleton row d*e_c reduces its
+    column mod d.  The diagonal is regrouped by (gcd, lcm) pairs.
     """
-    a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    factors: list[int] = []
-    t = 0
-    while t < rows and t < cols:
-        # pivot: the nonzero entry of least absolute value in the submatrix
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(matrix)}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    diagonal = []
+    while True:
+        best = min(((abs(x), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+                    for i, row in rows.items() for j, x in row.items()), default=None)
+        if best is None:
             break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-        dirty = False
-        for i in range(t + 1, rows):
-            q = a[i][t] // a[t][t]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, cols):
-            q = a[t][j] // a[t][t]
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
+        pi, pj = best[2:]
+        prow = rows[pi]
+        p = prow[pj]
+        # clear the column by row operations; a remainder needs a new pivot
+        for i in cols[pj] - {pi}:
+            row = rows[i]
+            q = row[pj] // p
+            for j, x in prow.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    cols[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+        if len(cols[pj]) > 1:
             continue
-        # divisibility sweep: fold a bad entry into the pivot row
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        factors.append(a[t][t])
-        t += 1
-    return factors
+        # clear the row by column operations, which touch only this row
+        for j in [j for j in prow if j != pj]:
+            prow[j] %= p
+            if not prow[j]:
+                del prow[j]
+                cols[j].discard(pi)
+        if len(prow) == 1:
+            diagonal.append(abs(p))
+            del rows[pi], cols[pj]
+    chain: list[int] = []
+    for d in sorted(diagonal):
+        if chain and d % chain[-1]:
+            for k, c in enumerate(chain):
+                chain[k], d = gcd(c, d), lcm(c, d)
+        chain.append(d)
+    return chain
 
 
 def _exponent_matrix(p: GroupPresentation) -> list[list[int]]:

@@ -477,21 +477,33 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
 
 class _SearchIndex:
     """What the isomorphism search reads of one coloured graph, built once
-    per search: neighbour lists, the sorted multiplicities of the edges
-    joining each vertex pair, and the components in key order."""
+    per search: neighbour sets, edge ends as (neighbour, multiplicity, is
+    loop) with a loop once, pair multiplicities sorted, components in order."""
 
     def __init__(self, g: MarkedGraph, colours: dict[str, tuple]):
         self.nbrs: dict[str, set[str]] = {v: set() for v in g.marks}
+        self.ends: dict[str, list[tuple[str, int, int]]] = {v: [] for v in g.marks}
         self.between: dict[tuple[str, str], list[int]] = {}
         for e, (u, v) in g.edges.items():
-            self.nbrs[u].add(v)
-            self.nbrs[v].add(u)
-            self.between.setdefault(_pair(u, v), []).append(g.multiplicity.get(e, 0))
+            m = g.multiplicity.get(e, 0)
+            for a, b in {(u, v), (v, u)}:
+                self.nbrs[a].add(b)
+                self.ends[a].append((b, m, int(a == b)))
+            self.between.setdefault(_pair(u, v), []).append(m)
         for mults in self.between.values():
             mults.sort()
 
-        comps = g.components()
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        comps: list[set[str]] = []
+        comp_of: dict[str, int] = {}
+        for root in g.marks:
+            if root not in comp_of:
+                comp, stack = {root}, [root]
+                while stack:
+                    new = self.nbrs[stack.pop()] - comp
+                    comp |= new
+                    stack.extend(new)
+                comp_of.update(dict.fromkeys(comp, len(comps)))
+                comps.append(comp)
         profiles: list[list[list[int]]] = [[] for _ in comps]
         for (u, _v), mults in self.between.items():
             profiles[comp_of[u]].append(mults)
@@ -525,19 +537,15 @@ def _refined_signatures(
 ) -> dict[str, int]:
     """Vertex colours refined by iterated neighbourhood structure; each
     round's signatures are compressed to their ranks."""
-    # (neighbour, multiplicity, is loop) per edge end; a loop is listed once
-    adj = {v: [(u, m, int(u == v)) for u in index.nbrs[v] for m in index.edges(v, u)]
-           for v in verts}
-
     def ranked(sig: dict[str, tuple]) -> dict[str, int]:
         rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
         return {v: rank[s] for v, s in sig.items()}
 
-    sig = ranked({v: (colours[v], tuple(sorted((m, lp) for _u, m, lp in adj[v])))
+    sig = ranked({v: (colours[v], tuple(sorted((m, lp) for _u, m, lp in index.ends[v])))
                   for v in verts})
     for _round in range(len(verts)):
         nxt = ranked({
-            v: (sig[v], tuple(sorted((m, lp, sig[u]) for u, m, lp in adj[v])))
+            v: (sig[v], tuple(sorted((m, lp, sig[u]) for u, m, lp in index.ends[v])))
             for v in verts
         })
         stable = len(set(nxt.values())) == len(set(sig.values()))

@@ -1,7 +1,9 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbicover.coxeter import DefiningGraph, GroupPresentation, racg_presentation
 from orbicover.invariants import (
@@ -70,6 +72,78 @@ def test_snf_divisibility_chain_example():
     assert factors == [1, 6]
 
 
+def _is_chain(factors):
+    return all(d > 0 for d in factors) and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return [[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def presentation_shaped(draw):
+    """Rows 2*e_i (the s^2 relators) stacked with a few rows of entries in
+    {-1, 0, 1} and some zero rows, in a drawn order."""
+    cols = draw(st.integers(1, 25))
+    twos = draw(st.lists(st.integers(0, cols - 1), max_size=cols, unique=True))
+    rows = [[2 if j == i else 0 for j in range(cols)] for i in twos]
+    rows += draw(st.lists(st.lists(st.integers(-1, 1), min_size=cols, max_size=cols), max_size=4))
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)) if rows else [[0] * cols]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_snf_property_matches_determinantal_oracle(m):
+    before = copy.deepcopy(m)
+    got = smith_normal_form(m)
+    assert m == before
+    assert _is_chain(got)
+    assert got == snf_determinantal(m)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(presentation_shaped())
+def test_snf_property_presentation_shaped_matches_sympy(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    before = copy.deepcopy(m)
+    got = smith_normal_form(m)
+    assert m == before
+    assert _is_chain(got)
+    want = [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ) if d]
+    assert got == want
+
+
+def random_connected_triangle_free(rng, n):
+    """A random spanning tree on n vertices, plus random edges whose ends
+    have no common neighbour."""
+    names = [f"v{i}" for i in range(n)]
+    nbrs = {v: set() for v in names}
+    for i in range(1, n):
+        u, v = names[i], names[rng.randrange(i)]
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for _ in range(n):
+        u, v = rng.sample(names, 2)
+        if v not in nbrs[u] and not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    edges = {tuple(sorted((u, v))) for u in names for v in nbrs[u]}
+    return DefiningGraph.from_edges(names, sorted(edges))
+
+
+def test_racg_abelianization_closed_form_on_random_graphs():
+    # H_1 of a right-angled Coxeter group on V generators is (Z/2)^V
+    rng = random.Random(7)
+    for _ in range(12):
+        g = random_connected_triangle_free(rng, rng.randint(2, 40))
+        assert abelianization(racg_presentation(g)) == AbelianInvariants(0, (2,) * len(g.vertices))
+
+
 def test_snf_agrees_with_determinantal_oracle():
     rng = random.Random(2024)
     for _ in range(200):
@@ -119,9 +193,9 @@ def test_presentation_of_davis_complex(chain):
     assert ab == AbelianInvariants(0, (2,) * 25)
 
 
-def test_presentation_of_first_cover_two_rank(chain):
+def test_presentation_of_first_cover_abelianization(chain):
     ab = abelianization(fundamental_group_presentation(chain.cover1))
-    assert ab.two_rank() == 24
+    assert ab == AbelianInvariants(0, (2,) * 24)
 
 
 def test_presentation_disconnected_rejected():
