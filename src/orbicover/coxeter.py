@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import networkx as nx
-
 from .orbicore import (
     FREE,
     MIRROR,
@@ -76,18 +74,25 @@ class DefiningGraph:
     def sorted_edges(self) -> list[tuple[str, str]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.sorted_vertices()[0]}
-        stack = list(seen)
+    def _splits(self, removed: tuple[str, ...]) -> bool:
+        """True iff the vertices outside ``removed`` lie in more than one
+        component: one graph search from any vertex that is left."""
+        adj = self.adjacency
+        seen = set(removed)
+        start = next((v for v in adj if v not in seen), None)
+        if start is None:
+            return False
+        seen.add(start)
+        stack = [start]
         while stack:
-            v = stack.pop()
-            for u in self.neighbors(v):
+            for u in adj[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        return seen == set(self.vertices)
+        return len(seen) < len(adj)
+
+    def is_connected(self) -> bool:
+        return not self._splits(())
 
 
 Word = tuple[tuple[str, int], ...]
@@ -234,23 +239,20 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
 
 def one_endedness_check(g: DefiningGraph) -> bool:
     """True iff the right-angled Coxeter group of g is one-ended: g is
-    connected, not complete, and no clique (of any size, including single
-    vertices and edges) separates it."""
-    n = len(g.vertices)
-    if n == 0 or not g.is_connected():
-        return False
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from(tuple(e) for e in g.edges)
+    neither empty nor complete, and no clique (of any size, the empty one
+    included) separates it. Each clique is grown only by common neighbours
+    that sort after its last vertex, so every clique is tested once."""
+    adj = g.adjacency
+    n = len(adj)
     if len(g.edges) == n * (n - 1) // 2:
-        return False  # complete graph: finite group
-    for clique in nx.enumerate_all_cliques(nxg):
-        rest = nxg.copy()
-        rest.remove_nodes_from(clique)
-        if rest.number_of_nodes() == 0:
-            continue
-        if not nx.is_connected(rest):
+        return False  # empty or complete graph: finite group
+    later = {v: frozenset(u for u in adj[v] if u > v) for v in adj}
+    stack = [((), frozenset(adj))]
+    while stack:
+        clique, common = stack.pop()
+        if g._splits(clique):
             return False
+        stack.extend((clique + (v,), common & later[v]) for v in common)
     return True
 
 

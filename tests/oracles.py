@@ -2,8 +2,8 @@
 
 Deliberately reimplemented from first principles: a full weighted cell
 decomposition for Euler characteristics, determinantal divisors for Smith
-normal form, and all-permutations search for marked graph and normal form
-isomorphism.
+normal form, all-permutations search for marked graph and normal form
+isomorphism, and all-subsets clique removal for one-endedness.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from orbicover.coxeter import DefiningGraph
 from orbicover.invariants import NormalForm
 from orbicover.orbicore import (
     MIRROR,
@@ -231,3 +232,38 @@ def relabeled_normal_form(n: NormalForm, rng: random.Random) -> NormalForm:
     pieces = [(key, tuple(sorted(faces[x] for x in fs))) for key, fs in n.pieces]
     rng.shuffle(pieces)
     return NormalForm(tuple(comps), tuple(pieces))
+
+
+def _components_by_merging(vertices: set, edges) -> int:
+    """Number of components of the graph induced on ``vertices``, found by
+    merging the vertex sets of each edge's ends (no graph search)."""
+    comp = {v: frozenset([v]) for v in vertices}
+    for e in edges:
+        if e <= vertices:
+            a, b = e
+            merged = comp[a] | comp[b]
+            comp.update(dict.fromkeys(merged, merged))
+    return len(set(comp.values()))
+
+
+def brute_force_one_ended(g: DefiningGraph) -> bool:
+    """Clique-separator criterion by exhaustion: g is neither empty nor
+    complete, and removing any vertex subset that is a clique (the empty
+    set included) leaves at most one component. Small graphs only."""
+    vs = sorted(g.vertices)
+    if len(g.edges) == len(vs) * (len(vs) - 1) // 2:
+        return False
+    for k in range(len(vs) + 1):
+        for sub in itertools.combinations(vs, k):
+            if all(frozenset(p) in g.edges for p in itertools.combinations(sub, 2)):
+                if _components_by_merging(set(vs) - set(sub), g.edges) > 1:
+                    return False
+    return True
+
+
+def random_defining_graph(rng: random.Random, max_vertices: int = 9) -> DefiningGraph:
+    """A random simplicial graph, triangles allowed, of varied density."""
+    vs = [f"x{i}" for i in range(rng.randint(1, max_vertices))]
+    density = rng.uniform(0.2, 0.9)
+    pairs = [p for p in itertools.combinations(vs, 2) if rng.random() < density]
+    return DefiningGraph.from_edges(vs, pairs)

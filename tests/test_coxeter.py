@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from orbicover.coxeter import (
 )
 from orbicover.orbicore import RAM2, is_wall, piece_orbifold_euler
 
-from oracles import weighted_cell_euler
+from oracles import brute_force_one_ended, random_defining_graph, weighted_cell_euler
 
 
 def path_graph(n):
@@ -214,28 +215,45 @@ def test_davis_refuses_graph_with_triangle():
 # one-endedness
 
 
-def test_demo_graph_one_ended():
-    assert one_endedness_check(demo_defining_graph()) is True
+def cycle_graph(n):
+    verts = [f"v{i}" for i in range(n)]
+    return DefiningGraph.from_edges(verts, [(verts[i], verts[(i + 1) % n]) for i in range(n)])
 
 
-def test_complete_graph_not_one_ended():
-    assert one_endedness_check(complete_graph(3)) is False
+def graph_of(pairs):
+    """Defining graph from space-separated two-letter edges, e.g. "ab bc"."""
+    edges = [tuple(p) for p in pairs.split()]
+    return DefiningGraph.from_edges({v for e in edges for v in e}, edges)
 
 
-def test_two_isolated_vertices_not_one_ended():
-    g = DefiningGraph.from_edges(["a", "b"], [])
-    assert one_endedness_check(g) is False
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (demo_defining_graph(), True),
+        (DefiningGraph.from_edges([], []), False),  # trivial group
+        (complete_graph(3), False),  # complete: finite group
+        (DefiningGraph.from_edges(["a", "b"], []), False),  # disconnected
+        (path_graph(3), False),  # the middle vertex separates
+        (graph_of("ab bc cd da be ef fa"), False),  # the shared edge ab separates
+        (graph_of("ab ac ad bc bd cd ae be ce"), False),  # the shared triangle abc separates
+        (cycle_graph(4), True),
+        (cycle_graph(6), True),  # hexagon: a 2-orbifold group
+        (graph_of("ad ae af bd be bf cd ce cf"), True),
+    ],
+    ids=[
+        "demo", "empty", "K3", "two-isolated-vertices", "path", "two-squares-sharing-an-edge",
+        "two-K4-sharing-a-triangle", "square", "hexagon", "K33",
+    ],
+)
+def test_one_endedness(g, expected):
+    assert one_endedness_check(g) is expected
 
 
-def test_path_graph_not_one_ended():
-    # interior vertices are separating cliques
-    assert one_endedness_check(path_graph(3)) is False
-
-
-def test_cycle_graph_one_ended_check():
-    verts = [f"v{i}" for i in range(6)]
-    g = DefiningGraph.from_edges(
-        verts, [(verts[i], verts[(i + 1) % 6]) for i in range(6)]
-    )
-    # hexagon: no separating clique, not complete: one-ended (2-orbifold group)
-    assert one_endedness_check(g) is True
+def test_one_endedness_matches_oracle_on_random_graphs():
+    rng = random.Random(8)
+    answers = []
+    for _ in range(300):
+        g = random_defining_graph(rng)
+        answers.append(one_endedness_check(g))
+        assert answers[-1] == brute_force_one_ended(g), sorted(map(sorted, g.edges))
+    assert 0 < sum(answers) < len(answers)

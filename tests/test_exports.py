@@ -1,6 +1,8 @@
-"""The package exports no name that nothing uses."""
+"""The package exports no name that nothing uses and imports nothing
+beyond the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +42,15 @@ def test_every_export_is_used():
     exports = _exports()
     assert len(exports) > 50
     assert [name for name in exports if name not in used] == []
+
+
+def test_package_imports_only_the_standard_library():
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "fractions" in imported
+    assert sorted(imported - set(sys.stdlib_module_names) - {"orbicover"}) == []
