@@ -425,7 +425,7 @@ def verify_covering(f: CoveringMap) -> CoverReport:
             if tokens is None:
                 cone_violations.append(f"cone ({q.id},{j}): no fiber data")
                 continue
-            per_source: dict[str, Fraction] = {}
+            per_source: Counter[str] = Counter()
             for tok in tokens:
                 if tok[0] == "cone":
                     _kind, spid, sj = tok
@@ -441,10 +441,10 @@ def verify_covering(f: CoveringMap) -> CoverReport:
                     if sj in used[spid]:
                         cone_violations.append(f"cone ({q.id},{j}): source cone reused {tok}")
                     used[spid].add(sj)
-                    per_source[spid] = per_source.get(spid, Fraction(0)) + Fraction(m, mm)
+                    per_source[spid] += m // mm
                 elif tok[0] == "smooth":
                     spid = tok[1]
-                    per_source[spid] = per_source.get(spid, Fraction(0)) + m
+                    per_source[spid] += m
                 else:
                     cone_violations.append(f"cone ({q.id},{j}): bad token {tok}")
             for spid, total in sorted(per_source.items()):

@@ -368,62 +368,49 @@ def require_valid(c: Orbicomplex) -> None:
 # Euler characteristics
 
 
-def piece_orbifold_euler(p: Piece) -> Fraction:
-    """Orbifold Euler characteristic of a single piece.
+def _orbifold_euler(pieces: list[Piece], attachments: dict, quarters: int) -> Fraction:
+    """``quarters``/4 plus the pieces' orbifold Euler characteristics, minus
+    one copy of each cell that ``attachments`` identify with a graph cell.
 
-    Weighted-cell bookkeeping relative to the plain surface characteristic
-    2 - 2g - b: each mirror segment carries weight 1/2 (correction +1/2),
-    each right-angled corner 1/4 (-3/4), each reflection junction 1/2
-    (-1/2), each order-m cone 1/m (-(1 - 1/m)).  The boundary terms are
-    counted in quarters and the k cones of each order m in one fraction.
+    Counted in quarters against the plain surface's 2 - 2g - b: a mirror
+    segment (weight 1/2) +2, a corner (1/4) -3, a reflection junction (1/2)
+    -2; an attached segment +4 and a junction next to one -4 in all, as the
+    graph holds their copies.  The k cones of order m subtract k(1 - 1/m).
     """
-    quarters = 4 * (2 - 2 * p.genus - len(p.boundary))
-    for circle in p.boundary:
-        for prev, kind in zip(circle[-1:] + circle[:-1], circle):
-            if kind == MIRROR:
-                quarters += 2
-            if prev == MIRROR and kind == MIRROR:
-                quarters -= 3
-            elif MIRROR in (prev, kind):
-                quarters -= 2
+    cones = Counter()
+    for p in pieces:
+        cones.update(p.cones)
+        quarters += 4 * (2 - 2 * p.genus - len(p.boundary))
+        for ci, circle in enumerate(p.boundary):
+            glued = [(p.id, ci, si) in attachments for si in range(len(circle))]
+            for si, kind in enumerate(circle):
+                # segment si, then the junction between segments si-1 and si
+                quarters += 2 if kind == MIRROR else 4 * glued[si]
+                mirrors = (kind == MIRROR) + (circle[si - 1] == MIRROR)
+                if mirrors == 2:
+                    quarters -= 3
+                elif glued[si] or glued[si - 1]:
+                    quarters -= 4
+                elif mirrors:
+                    quarters -= 2
     chi = Fraction(quarters, 4)
-    for m, k in Counter(p.cones).items():
+    for m, k in cones.items():
         chi -= Fraction(k * (m - 1), m)
     return chi
 
 
-def graph_euler(g: MarkedGraph) -> Fraction:
-    """Euler characteristic of the graph with wall vertices weighted 1/2."""
-    chi = Fraction(0)
-    for v, mark in g.marks.items():
-        chi += Fraction(1, local_order(mark))
-    chi -= len(g.edges)
-    return chi
+def piece_orbifold_euler(p: Piece) -> Fraction:
+    """Orbifold Euler characteristic of a single piece."""
+    return _orbifold_euler([p], {}, 0)
 
 
 def euler_characteristic(c: Orbicomplex) -> Fraction:
-    """Exact orbifold Euler characteristic of the glued complex.
-
-    Inclusion-exclusion: graph + pieces, minus one copy of every cell
-    identified by the attaching maps (attached free segments and the
-    junction vertices they touch, wall junctions weighted 1/2).
-    """
-    chi = graph_euler(c.graph)
-    for p in c.pieces:
-        chi += piece_orbifold_euler(p)
-        for ci, circle in enumerate(p.boundary):
-            t = len(circle)
-            attached = [si for si in range(t) if (p.id, ci, si) in c.attachments]
-            chi += len(attached)
-            for j in range(t):
-                # junction j sits between segments j-1 and j
-                prev_ref, next_ref = (p.id, ci, (j - 1) % t), (p.id, ci, j)
-                if prev_ref not in c.attachments and next_ref not in c.attachments:
-                    continue
-                kinds = (circle[(j - 1) % t], circle[j])
-                weight = Fraction(1, 2) if MIRROR in kinds else Fraction(1)
-                chi -= weight
-    return chi
+    """Exact orbifold Euler characteristic of the glued complex, by
+    inclusion-exclusion: graph + pieces, minus the cells glued to the graph.
+    The graph counts 4 quarters per vertex of local order 1, 2 per vertex of
+    order 2 and -4 per edge."""
+    quarters = sum(4 // local_order(m) for m in c.graph.marks.values()) - 4 * len(c.graph.edges)
+    return _orbifold_euler(c.pieces, c.attachments, quarters)
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +833,8 @@ def _canonical_cycle(walk: list[tuple[str, int]]) -> tuple:
 # DOT export
 
 
-def graph_to_dot(g: MarkedGraph, name: str = "singular") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: MarkedGraph) -> str:
+    lines = ["graph singular {"]
     for v in g.vertices():
         mark = g.marks[v]
         if mark == RAM2:

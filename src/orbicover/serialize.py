@@ -59,6 +59,13 @@ def _rows(value, what: str, width: int) -> list[list]:
     return [_list(row, what, width) for row in _list(value, what)]
 
 
+def _put(table: dict, key, value, what: str) -> None:
+    """Enter ``key`` once: a repeated entry is refused, not overwritten."""
+    if key in table:
+        raise SchemaError(f"repeated {what} {key!r}")
+    table[key] = value
+
+
 def _segment_ref(data: dict) -> tuple[str, int, int]:
     return (
         _str(_need(data, "piece"), "piece id"),
@@ -140,12 +147,13 @@ def marked_graph_from_json(data: dict) -> MarkedGraph:
     g = MarkedGraph()
     for vd in _list(_need(data, "vertices"), "vertices"):
         vd = _obj(vd, "vertex")
-        g.marks[_str(_need(vd, "id"), "vertex id")] = _mark_from_json(vd.get("mark"))
+        v = _str(_need(vd, "id"), "vertex id")
+        _put(g.marks, v, _mark_from_json(vd.get("mark")), "vertex id")
     for ed in _list(_need(data, "edges"), "edges"):
         ed = _obj(ed, "edge")
         e = _str(_need(ed, "id"), "edge id")
         u, v = _list(_need(ed, "ends"), f"edge {e!r} ends", 2)
-        g.edges[e] = (_str(u, "edge end"), _str(v, "edge end"))
+        _put(g.edges, e, (_str(u, "edge end"), _str(v, "edge end")), "edge id")
         g.multiplicity[e] = _int(ed.get("multiplicity", 0), "edge multiplicity")
     return g
 
@@ -224,10 +232,8 @@ def orbicomplex_from_json(data: dict) -> Orbicomplex:
     attachments = {}
     for ad in _list(data.get("attachments", []), "attachments"):
         ad = _obj(ad, "attachment")
-        attachments[_segment_ref(ad)] = (
-            _str(_need(ad, "edge"), "attachment edge"),
-            _int(_need(ad, "direction"), "direction"),
-        )
+        att = (_str(_need(ad, "edge"), "attachment edge"), _int(_need(ad, "direction"), "direction"))
+        _put(attachments, _segment_ref(ad), att, "attachment")
     c = Orbicomplex(
         pieces=pieces,
         graph=graph,
@@ -271,6 +277,14 @@ def covering_map_to_json(f: CoveringMap) -> dict:
     }
 
 
+def _preimage(tok: list) -> tuple:
+    """A ("cone", piece, cone index) or ("smooth", piece, tag) token."""
+    kind, pid, tag = tok
+    if kind not in ("cone", "smooth"):
+        raise SchemaError(f"unknown cone preimage kind {kind!r}")
+    return (kind, _str(pid, "piece id"), _int(tag, "cone preimage") if kind == "cone" else tag)
+
+
 def covering_map_from_json(data: dict) -> CoveringMap:
     data = _obj(data, "covering map")
     f = CoveringMap(
@@ -294,18 +308,16 @@ def covering_map_from_json(data: dict) -> CoveringMap:
         f.piece_map[p] = (_str(q, "piece_map value"), _int(l, "local degree"))
     for sd in _list(data.get("segment_map", []), "segment_map"):
         sd = _obj(sd, "segment_map entry")
-        f.segment_map[_segment_ref(sd)] = [
+        steps = [
             (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
             for a, b, d in _rows(_need(sd, "steps"), "segment step", 3)
         ]
+        _put(f.segment_map, _segment_ref(sd), steps, "segment_map entry")
     for cd in _list(data.get("cone_fibers", []), "cone_fibers"):
         cd = _obj(cd, "cone_fibers entry")
         key = (_str(_need(cd, "piece"), "piece id"), _int(_need(cd, "cone"), "cone index"))
-        f.cone_fibers[key] = [
-            ("cone", _str(tok[1], "piece id"), _int(tok[2], "cone preimage"))
-            if tok[0] == "cone" else ("smooth", _str(tok[1], "piece id"), tok[2])
-            for tok in _rows(_need(cd, "preimages"), "cone preimage", 3)
-        ]
+        tokens = [_preimage(tok) for tok in _rows(_need(cd, "preimages"), "cone preimage", 3)]
+        _put(f.cone_fibers, key, tokens, "cone_fibers entry")
     return f
 
 

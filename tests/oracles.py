@@ -16,12 +16,17 @@ from math import gcd
 from orbicover.coxeter import DefiningGraph
 from orbicover.invariants import NormalForm
 from orbicover.orbicore import (
+    FREE,
     MIRROR,
     RAM2,
     MarkedGraph,
     Orbicomplex,
+    Piece,
     disk_with_cones,
+    is_wall,
+    recompute_multiplicities,
     surface_with_boundary,
+    wall_mark,
 )
 
 
@@ -61,6 +66,86 @@ def weighted_cell_euler(c: Orbicomplex) -> Fraction:
                 else:
                     total += 1
     return total
+
+
+def _glued_runs(wanted: list[bool]) -> list[list[int]]:
+    """The maximal cyclic runs of wanted segment indices; a circle wanted
+    whole is one run that closes up."""
+    t = len(wanted)
+    if all(wanted):
+        return [list(range(t))]
+    runs, run = [], []
+    start = wanted.index(False)
+    for k in range(1, t + 1):
+        si = (start + k) % t
+        if wanted[si]:
+            run.append(si)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs
+
+
+def _random_walk(rng: random.Random, g: MarkedGraph, steps: int, start_wall: bool,
+                 end_wall: bool, closed: bool):
+    """A random edge walk of ``steps`` (edge, direction) steps whose ends
+    are wall vertices where asked and meet when ``closed``; None if twenty
+    tries find none."""
+    darts = {v: [] for v in g.marks}
+    for e, (u, v) in g.edges.items():
+        darts[u].append((e, 1, v))
+        darts[v].append((e, -1, u))
+    starts = [v for v, ds in darts.items() if ds and (is_wall(g.marks[v]) or not start_wall)]
+    for _try in range(20 if starts else 0):
+        start = end = rng.choice(starts)
+        walk = []
+        for _ in range(steps):  # every vertex a step reaches has a dart back
+            e, d, end = rng.choice(darts[end])
+            walk.append((e, d))
+        if (is_wall(g.marks[end]) or not end_wall) and (end == start or not closed):
+            return walk
+    return None
+
+
+def random_orbicomplex(rng: random.Random) -> Orbicomplex:
+    """A valid complex: 1-3 pieces, each either a genus-0 disk whose one
+    boundary circle mixes mirror and free segments or a surface of genus
+    0-2 with 1-3 free circles, with cones of order 2-6, glued along a random
+    subset of their free segments to a random graph of up to 5 wall, ram2
+    and plain vertices. Each run of glued segments follows a random walk;
+    a run no walk fits (a wall beside a mirror, a closed circle) stays free."""
+    g = MarkedGraph()
+    n = rng.randint(1, 5)
+    for i in range(n):
+        g.marks[f"v{i}"] = rng.choice([None, RAM2, wall_mark(f"w{i}")])
+    for k in range(rng.randint(0, 6)):
+        g.edges[f"e{k}"] = (f"v{rng.randrange(n)}", f"v{rng.randrange(n)}")
+    pieces = []
+    for i in range(rng.randint(1, 3)):
+        cones = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.5:
+            circle = tuple(rng.choice([MIRROR, FREE]) for _ in range(rng.randint(1, 8)))
+            pieces.append(Piece(f"p{i}", 0, (circle,), cones))
+        else:
+            circles = tuple((FREE,) * rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+            pieces.append(Piece(f"p{i}", rng.randint(0, 2), circles, cones))
+    attachments = {}
+    for p in pieces:
+        for ci, circle in enumerate(p.boundary):
+            t = len(circle)
+            wanted = [kind == FREE and rng.random() < 0.7 for kind in circle]
+            for run in _glued_runs(wanted):
+                walk = _random_walk(
+                    rng, g, len(run),
+                    start_wall=circle[(run[0] - 1) % t] == MIRROR,
+                    end_wall=circle[(run[-1] + 1) % t] == MIRROR,
+                    closed=len(run) == t,
+                )
+                for si, att in zip(run, walk or []):
+                    attachments[(p.id, ci, si)] = att
+    c = Orbicomplex(pieces=pieces, graph=g, attachments=attachments)
+    recompute_multiplicities(c)
+    return c
 
 
 def _det(m: list[list[int]]) -> int:

@@ -166,10 +166,21 @@ def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
         (("graph", "edges", 0, "ends"), 5, "expected a list"),
         (("pieces", 0, "id"), ["x"], "expected a string"),
         (("attachments", 0, "edge"), {"a": 1}, "expected a string"),
+        # a callable value rewrites the field; repeated entries used to be
+        # read silently, the last one winning
+        (("graph", "vertices"), lambda vs: [{"id": "w.v1", "mark": None}] + vs,
+         "repeated vertex id 'w.v1'"),
+        (("graph", "vertices"), lambda vs: vs + [{"id": "w.v1", "mark": None}],
+         "repeated vertex id 'w.v1'"),
+        (("graph", "edges"), lambda es: [{"id": "e.v1", "ends": ["hub", "hub"]}] + es,
+         "repeated edge id 'e.v1'"),
+        (("attachments",), lambda ats: ats + [{**ats[0], "direction": -ats[0]["direction"]}],
+         "repeated attachment"),
     ],
     ids=[
         "genus-string", "cone-float", "boundary-string", "attachment-number", "ends-number",
-        "piece-id-list", "attachment-edge-object",
+        "piece-id-list", "attachment-edge-object", "plain-wall-vertex-first",
+        "plain-wall-vertex-last", "repeated-edge-id", "repeated-attachment",
     ],
 )
 def test_cmd_euler_malformed_field_exits_two(tmp_path, capsys, path, value, message):
@@ -178,7 +189,7 @@ def test_cmd_euler_malformed_field_exits_two(tmp_path, capsys, path, value, mess
     node = data
     for key in parents:
         node = node[key]
-    node[last] = value
+    node[last] = value(node[last]) if callable(value) else value
     bad_file = tmp_path / "bad_field.json"
     bad_file.write_text(serialize.dumps(data))
     assert run_cli("euler", str(bad_file)) == 2
@@ -269,17 +280,34 @@ def _cone_key_minus_one(data):
     data["cone_fibers"][-1]["cone"] = -1
 
 
-@pytest.mark.parametrize("case", ["piece-map-number", "segment-without-steps"])
+def _first_cone_token_misspelt(data):
+    data["cone_fibers"][0]["preimages"][0][0] = "cnoe"
+
+
+_MALFORMED_MAPS = {
+    "piece-map-number": (lambda d: d["piece_map"].update({next(iter(d["piece_map"])): 5}),
+                         "expected a list"),
+    "segment-without-steps": (lambda d: d["segment_map"][0].pop("steps"), "missing key 'steps'"),
+    # repeated entries and unknown token kinds used to be read silently
+    "repeated-segment-map": (lambda d: d["segment_map"].append(d["segment_map"][0]),
+                             "repeated segment_map entry"),
+    "repeated-cone-fibers": (lambda d: d["cone_fibers"].append(d["cone_fibers"][0]),
+                             "repeated cone_fibers entry"),
+    "unknown-token-kind": (_first_cone_token_misspelt, "unknown cone preimage kind 'cnoe'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_MAPS))
 def test_cmd_verify_malformed_map_exits_two(chain, tmp_path, capsys, case):
-    data = json.loads(serialize.dumps(covering_map_to_json(chain.map1)))
-    if case == "piece-map-number":
-        data["piece_map"][next(iter(data["piece_map"]))] = 5
-    else:
-        del data["segment_map"][0]["steps"]
+    # the second cover's map has cone fibres as well as segment maps
+    data = json.loads(serialize.dumps(covering_map_to_json(chain.map2)))
+    mutate, message = _MALFORMED_MAPS[case]
+    mutate(data)
     bad_file = tmp_path / "bad_cover.json"
     bad_file.write_text(serialize.dumps(data))
     assert run_cli("verify", str(bad_file)) == 2
-    assert capsys.readouterr().err.startswith("parse error:")
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
 
 
 def test_cmd_covers_enumeration(chain, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from orbicover.orbicore import (
     MIRROR,
     MarkedGraph,
     Orbicomplex,
+    OrbicoverError,
     Piece,
     disk_with_cones,
     euler_characteristic,
@@ -450,6 +453,56 @@ def test_every_constructed_cover_verifies(covering_maps):
         assert euler_characteristic(fm.source) == fm.degree * euler_characteristic(
             fm.target
         ), name
+
+
+def _negated(seq, k):
+    """``seq`` with the direction (last field) of item k negated."""
+    item = seq[k]
+    return seq[:k] + [item[:-1] + (-item[-1],)] + seq[k + 1:]
+
+
+def _single_field_mutants(f):
+    """Every single-field mutant of a covering map, by kind."""
+    targets = sorted(f.target.graph.marks)
+    att = f.source.attachments
+    return {
+        "edge step": [
+            replace(f, edge_map={**f.edge_map, e: _negated(path, k)})
+            for e, path in sorted(f.edge_map.items()) for k in range(len(path))
+        ],
+        "segment step": [
+            replace(f, segment_map={**f.segment_map, ref: _negated(steps, k)})
+            for ref, steps in sorted(f.segment_map.items()) for k in range(len(steps))
+        ],
+        "cone token": [
+            replace(f, cone_fibers={**f.cone_fibers, key: toks[:k] + toks[k + 1:]})
+            for key, toks in sorted(f.cone_fibers.items()) for k in range(len(toks))
+        ],
+        "vertex image": [
+            replace(f, vertex_map={**f.vertex_map, v: w})
+            for v, image in sorted(f.vertex_map.items()) for w in targets if w != image
+        ],
+        "source attachment": [
+            replace(f, source=replace(f.source, attachments={**att, ref: (e, -d)}))
+            for ref, (e, d) in sorted(att.items())
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", ["map1", "map2", "y_hat_map"])
+def test_verifier_rejects_single_field_mutants(chain, name):
+    # every mutant is kept, whatever the verifier says of it
+    rng = random.Random(0)
+    tried = 0
+    for kind, mutants in _single_field_mutants(getattr(chain, name)).items():
+        for mutant in rng.sample(mutants, min(10, len(mutants))):
+            tried += 1
+            try:
+                report = verify_covering(mutant)
+            except OrbicoverError:
+                continue
+            assert not report.passed, f"{name}: a {kind} mutant passes"
+    assert tried >= 30  # the first cover has no cone fibres
 
 
 def test_singular_functoriality(covering_maps):

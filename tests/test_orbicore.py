@@ -28,6 +28,7 @@ from oracles import (
     brute_force_graph_iso,
     is_marked_graph_isomorphism,
     random_marked_graph,
+    random_orbicomplex,
     relabeled_copy,
     weighted_cell_euler,
 )
@@ -194,6 +195,19 @@ def test_euler_oracle_agrees_on_all_built_complexes(chain):
     complexes += [cx for _p, cx, _f in chain.family2]
     for c in complexes:
         assert euler_characteristic(c) == weighted_cell_euler(c)
+
+
+def test_euler_matches_oracle_on_random_complexes():
+    rng = random.Random(1)
+    glued = 0
+    for _ in range(300):
+        c = random_orbicomplex(rng)
+        assert validate_complex(c) == []
+        assert euler_characteristic(c) == weighted_cell_euler(c)
+        for p in c.pieces:
+            assert piece_orbifold_euler(p) == weighted_cell_euler(Orbicomplex(pieces=[p]))
+        glued += len(c.attachments)
+    assert glued > 900  # most draws glue segments, not only bare pieces
 
 
 # ---------------------------------------------------------------------------
