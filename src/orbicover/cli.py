@@ -145,10 +145,7 @@ def cmd_covers(args) -> int:
 def cmd_compare(args) -> int:
     c1 = serialize.orbicomplex_from_json(_load(args.a))
     c2 = serialize.orbicomplex_from_json(_load(args.b))
-    rot1 = rot2 = None
-    if args.rotations:
-        rot1, rot2 = serialize.rotation_pair_from_json(_load(args.rotations))
-    report = invariants.compare_report(c1, c2, rot1, rot2)
+    report = invariants.compare_report(c1, c2)
     if args.json:
         _write(serialize.dumps(serialize.compare_report_to_json(report)), args.out)
     else:
@@ -242,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="invariant comparison of two complexes")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--rotations", help="JSON file with rotation systems {a, b}")
     common(p)
     p.set_defaults(func=cmd_compare)
 

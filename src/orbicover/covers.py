@@ -194,15 +194,17 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
     if out:
         return out
 
-    # star of each source vertex: target darts hit by its half-edges;
-    # interior subdivision points of folded edges are extra (plain) vertices
-    stars: dict[tuple, list[tuple[str, int]]] = {}
+    # each point of the subdivided source graph: its key, the target vertex
+    # under it, its local order and its star (the target darts its
+    # half-edges hit); interior points of folded edges are plain
+    points = {
+        v: (("v", v), f.vertex_map[v], local_order(src.marks[v]), []) for v in src.vertices()
+    }
+    subdivisions = []
 
     def tgt_dart(edge: str, direction: int) -> tuple[str, int]:
         return (edge, 0 if direction == 1 else 1)
 
-    for v in src.vertices():
-        stars[("v", v)] = []
     for e in src.edge_ids():
         path = f.edge_map[e]
         u, v = src.edges[e]
@@ -218,26 +220,18 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
         for i in range(len(walk) - 1):
             if walk[i][1] != walk[i + 1][0]:
                 out.append(f"edge {e}: image path broken at step {i}")
-        stars[("v", u)].append(tgt_dart(*path[0]))
-        stars[("v", v)].append(reverse_dart(tgt, tgt_dart(*path[-1])))
+        points[u][3].append(tgt_dart(*path[0]))
+        points[v][3].append(reverse_dart(tgt_dart(*path[-1])))
         for i in range(len(path) - 1):
-            key = ("sub", e, i)
-            stars[key] = [reverse_dart(tgt, tgt_dart(*path[i])), tgt_dart(*path[i + 1])]
+            star = [reverse_dart(tgt_dart(*path[i])), tgt_dart(*path[i + 1])]
+            subdivisions.append((("sub", e, i), walk[i][1], 1, star))
     if out:
         return out
 
     tgt_darts = tgt.darts_by_vertex()
-    fibers: dict[str, list[tuple]] = {w: [] for w in tgt.vertices()}
-    for key, star in stars.items():
-        if key[0] == "v":
-            w = f.vertex_map[key[1]]
-            order = local_order(src.marks[key[1]])
-        else:
-            e, i = key[1], key[2]
-            te, d = f.edge_map[e][i]
-            w = directed_ends(tgt, te, d)[1]
-            order = 1
-        fibers[w].append((key, order))
+    fibers: dict[str, list[int]] = {w: [] for w in tgt.vertices()}
+    for key, w, order, star in [*points.values(), *subdivisions]:
+        fibers[w].append(order)
         tgt_order = local_order(tgt.marks[w])
         if tgt_order % order != 0:
             out.append(f"{key}: local order {order} does not divide target order {tgt_order}")
@@ -252,9 +246,7 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
             out.append(f"{key}: star size {len(star)} != {local_degree * len(w_darts)}")
 
     for w, fiber in fibers.items():
-        total = sum(
-            Fraction(local_order(tgt.marks[w]), order) for _key, order in fiber
-        )
+        total = sum(Fraction(local_order(tgt.marks[w]), order) for order in fiber)
         if total != f.degree:
             out.append(f"vertex {w}: fiber sum {total} != degree {f.degree}")
     # every target edge covered exactly `degree` times
@@ -276,7 +268,6 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
     }
 
     for ci, circle in enumerate(src_piece.boundary):
-        t = len(circle)
         steps_all: list[Step] = []
         tgt_circles = set()
         prev_end = None
@@ -340,7 +331,6 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
         first_start, _ = _junctions_of_step(tt, steps_all[0])
         if prev_end != first_start:
             out.append(f"piece {pid} circle {ci}: walk does not close")
-        prev_end = None
 
     for (ci, si), hits in sorted(coverage.items()):
         kind = tgt_piece.boundary[ci][si]
@@ -381,9 +371,17 @@ def verify_covering(f: CoveringMap) -> CoverReport:
         else:
             checks.append(CheckResult(condition, "PASS"))
 
-    # (1) fiber sums over pieces (graph cells are covered inside condition 5)
+    # the source pieces over each target piece, in piece_map order
+    over: dict[str, list[str]] = {q: [] for q in tgt}
+    for spid, (q, _l) in f.piece_map.items():
+        over[q].append(spid)
+    tgt_chi = {q: piece_orbifold_euler(piece) for q, piece in tgt.items()}
+
+    # (1) fiber sums over pieces (graph cells are covered inside condition 5),
+    # (2) per-piece Euler multiplicativity, (3) boundary compatibility
     fiber_violations: list[str] = []
-    by_target: dict[str, int] = {q.id: 0 for q in f.target.pieces}
+    euler_violations: list[str] = []
+    boundary_violations: list[str] = []
     for p in f.source.pieces:
         if p.id not in f.piece_map:
             fiber_violations.append(f"piece {p.id}: no image")
@@ -391,29 +389,16 @@ def verify_covering(f: CoveringMap) -> CoverReport:
         q, local_degree = f.piece_map[p.id]
         if local_degree < 1:
             fiber_violations.append(f"piece {p.id}: local degree {local_degree}")
-        by_target[q] += local_degree
-    for q, total in sorted(by_target.items()):
+        lhs = piece_orbifold_euler(p)
+        if lhs != local_degree * tgt_chi[q]:
+            euler_violations.append(f"piece {p.id}: chi {lhs} != {local_degree} * chi({q})")
+        boundary_violations.extend(_piece_boundary_violations(f, p, tgt[q]))
+    for q, spids in sorted(over.items()):
+        total = sum(f.piece_map[spid][1] for spid in spids)
         if total != f.degree:
             fiber_violations.append(f"piece {q}: fiber sum {total} != degree {f.degree}")
     record("fiber_sums", fiber_violations)
-
-    # (2) per-piece Euler multiplicativity
-    euler_violations = []
-    for p in f.source.pieces:
-        if p.id not in f.piece_map:
-            continue
-        q, local_degree = f.piece_map[p.id]
-        lhs = piece_orbifold_euler(p)
-        rhs = local_degree * piece_orbifold_euler(tgt[q])
-        if lhs != rhs:
-            euler_violations.append(f"piece {p.id}: chi {lhs} != {local_degree} * chi({q})")
     record("piece_euler", euler_violations)
-
-    # (3) boundary compatibility
-    boundary_violations = []
-    for p in f.source.pieces:
-        if p.id in f.piece_map:
-            boundary_violations.extend(_piece_boundary_violations(f, p, tgt[f.piece_map[p.id][0]]))
     record("boundary", boundary_violations)
 
     # (4) cone fibers
@@ -456,8 +441,8 @@ def verify_covering(f: CoveringMap) -> CoverReport:
                     cone_violations.append(
                         f"cone ({q.id},{j}): fiber sum {total} in {spid} != local degree {l}"
                     )
-            for spid, (tq, l) in f.piece_map.items():
-                if tq == q.id and spid not in per_source:
+            for spid in over[q.id]:
+                if spid not in per_source:
                     cone_violations.append(f"cone ({q.id},{j}): no preimage in {spid}")
     for spid, seen in sorted(used.items()):
         # cones over corner reflectors of a mirror target piece are absorbed
@@ -608,14 +593,14 @@ class TwoTorsionLabeling:
         )
 
 
-def _circle_edge_parity(c: Orbicomplex, phi: TwoTorsionLabeling, p: Piece, ci: int) -> int:
-    parity = 0
+def _sheet_offsets(c: Orbicomplex, phi: TwoTorsionLabeling, p: Piece, ci: int) -> list[int]:
+    """The sheet offset of each junction of circle ci relative to junction 0,
+    and last, back at junction 0, the parity of the circle's edge word."""
+    h = [0]
     for si, kind in enumerate(p.boundary[ci]):
-        if kind == FREE:
-            att = c.attachments.get((p.id, ci, si))
-            if att is not None:
-                parity ^= phi.edge(att[0])
-    return parity
+        att = c.attachments.get((p.id, ci, si)) if kind == FREE else None
+        h.append(h[-1] ^ (0 if att is None else phi.edge(att[0])))
+    return h
 
 
 def _mirror_wall_pairs(c: Orbicomplex, p: Piece) -> list[tuple[SegRef, str]]:
@@ -675,14 +660,12 @@ def _labeling_violations(
             glued, t = _glued_mirrors(p, phi), len(p.boundary[0])
             if glued and sum(map(len, _trace_polygon(p.boundary[0], glued))) < 2 * (t - len(glued)):
                 out.append(f"polygon {p.id}: glued mirrors leave a lift of mirrors only")
-            if attached:
-                parity = _circle_edge_parity(c, phi, p, 0)
-                if parity != 0:
-                    out.append(f"polygon {p.id}: boundary edge word has parity 1")
+            if attached and _sheet_offsets(c, phi, p, 0)[-1] != 0:
+                out.append(f"polygon {p.id}: boundary edge word has parity 1")
         elif attached:
             total = 0
             for ci in range(len(p.boundary)):
-                total ^= _circle_edge_parity(c, phi, p, ci)
+                total ^= _sheet_offsets(c, phi, p, ci)[-1]
             cone_sum = 0
             for j in range(len(p.cones)):
                 cone_sum ^= phi.cone(p.id, j)
@@ -882,15 +865,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     for p, mirrored, _attached in facts:
         circle = p.boundary[0]
         t = len(circle)
-        # sheet offset of junction j relative to junction 0
-        h = [0] * (t + 1)
-        for si in range(t):
-            bump = 0
-            if circle[si] == FREE:
-                att = c.attachments.get((p.id, 0, si))
-                if att is not None:
-                    bump = phi.edge(att[0])
-            h[si + 1] = h[si] ^ bump
+        h = _sheet_offsets(c, phi, p, 0)
 
         def lift(si: int, sheet: int, direction: int) -> Segment:
             """Segment si on ``sheet``, traversed in ``direction``."""
@@ -939,7 +914,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
         else:
             k = len(p.cones)
             cone_vals = [phi.cone(p.id, j) for j in range(k)]
-            parity = h[t]
+            parity = h[-1]
             if parity == 0 and not any(cone_vals):
                 lift_to_two_copies()
                 continue
@@ -1036,7 +1011,7 @@ def enumerate_double_covers(
             continue
         phi = TwoTorsionLabeling(edges=dict(zip(free_edges, bits)))
         for p in c.pieces:
-            if _circle_edge_parity(c, phi, p, 0) == 1:
+            if _sheet_offsets(c, phi, p, 0)[-1] == 1:
                 phi.cones[(p.id, 0)] = 1
         cover, f = double_cover(c, phi)
         out.append((phi, cover, f))

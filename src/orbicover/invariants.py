@@ -337,14 +337,11 @@ class NormalForm:
     # each entry: (piece type key, tuple of (component, face) per boundary circle)
 
 
-def planar_normal_form(
-    c: Orbicomplex, rotation: Optional[dict] = None
-) -> Optional[NormalForm]:
-    """Thicken the singular subspace along a rotation system and match every
-    attachment circuit to a boundary face; None when some circuit is not a
-    face of the ribbon structure."""
-    rot = rotation if rotation is not None else c.rotation
-    if rot is None:
+def planar_normal_form(c: Orbicomplex) -> Optional[NormalForm]:
+    """Thicken the singular subspace along the complex's rotation system and
+    match every attachment circuit to a boundary face; None when some
+    circuit is not a face of the ribbon structure."""
+    if c.rotation is None:
         raise MalformedRotation("no rotation system available")
     sing = singular_subspace(c)
     comps = sing.components()
@@ -352,7 +349,7 @@ def planar_normal_form(
     face_lookup: dict[tuple, tuple[int, int]] = {}
     for idx, comp in enumerate(comps):
         sub = sing.induced(comp)
-        sub_rot = {v: rot[v] for v in sorted(comp) if v in rot}
+        sub_rot = {v: c.rotation[v] for v in sorted(comp) if v in c.rotation}
         genus, circuits = ribbon_neighborhood(sub, sub_rot)
         comp_data.append((genus, len(circuits)))
         for fi, walk in enumerate(circuits):
@@ -420,12 +417,7 @@ def normal_forms_isomorphic(n1: NormalForm, n2: NormalForm) -> Optional[dict]:
     return matching
 
 
-def homotopy_equivalence_certificate(
-    c1: Orbicomplex,
-    c2: Orbicomplex,
-    rotation1: Optional[dict] = None,
-    rotation2: Optional[dict] = None,
-) -> Optional[dict]:
+def homotopy_equivalence_certificate(c1: Orbicomplex, c2: Orbicomplex) -> Optional[dict]:
     """Certificate of homotopy equivalence via equal planar normal forms.
 
     None means inconclusive (or, when Euler characteristics differ,
@@ -435,8 +427,8 @@ def homotopy_equivalence_certificate(
     if euler_characteristic(c1) != euler_characteristic(c2):
         return None
     try:
-        n1 = planar_normal_form(c1, rotation1)
-        n2 = planar_normal_form(c2, rotation2)
+        n1 = planar_normal_form(c1)
+        n2 = planar_normal_form(c2)
     except MalformedRotation:
         return None
     if n1 is None or n2 is None:
@@ -459,12 +451,7 @@ def torsion_freeness(c: Orbicomplex) -> bool:
 # comparison reports
 
 
-def compare_report(
-    c1: Orbicomplex,
-    c2: Orbicomplex,
-    rotation1: Optional[dict] = None,
-    rotation2: Optional[dict] = None,
-) -> dict:
+def compare_report(c1: Orbicomplex, c2: Orbicomplex) -> dict:
     """Invariant comparison: Euler characteristics, singular-subspace
     homeomorphism verdict, abelianizations, homotopy certificate."""
     chi1, chi2 = euler_characteristic(c1), euler_characteristic(c2)
@@ -480,7 +467,7 @@ def compare_report(
         certificate_status = "absent"
         verdicts.append("not homotopy equivalent (Euler characteristics differ)")
     else:
-        cert = homotopy_equivalence_certificate(c1, c2, rotation1, rotation2)
+        cert = homotopy_equivalence_certificate(c1, c2)
         if cert is not None:
             certificate_status = "present"
             verdicts.append("homotopy equivalent (equal planar normal forms)")

@@ -115,7 +115,7 @@ class Piece:
 
     @property
     def has_mirrors(self) -> bool:
-        return any(k == MIRROR for _, _, k in self.segments())
+        return any(MIRROR in circle for circle in self.boundary)
 
     def census_key(self) -> tuple:
         """Homeomorphism-type key: genus, per-circle mirror structure (free
@@ -334,12 +334,14 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
     for p in c.pieces:
         for ci, circle in enumerate(p.boundary):
             t = len(circle)
+            ends = [
+                c.seg_endpoints((p.id, ci, si)) if kind == FREE else None
+                for si, kind in enumerate(circle)
+            ]
             for si in range(t):
                 sj = (si + 1) % t
-                ref_i, ref_j = (p.id, ci, si), (p.id, ci, sj)
                 ki, kj = circle[si], circle[sj]
-                ends_i = c.seg_endpoints(ref_i) if ki == FREE else None
-                ends_j = c.seg_endpoints(ref_j) if kj == FREE else None
+                ends_i, ends_j = ends[si], ends[sj]
                 if ends_i and ends_j and ends_i[1] != ends_j[0]:
                     out.append(
                         Violation(
@@ -643,7 +645,7 @@ def marked_graph_isomorphism(g1: MarkedGraph, g2: MarkedGraph) -> Optional[dict[
 # ribbon structures
 
 
-def reverse_dart(g: MarkedGraph, d: tuple[str, int]) -> tuple[str, int]:
+def reverse_dart(d: tuple[str, int]) -> tuple[str, int]:
     return (d[0], 1 - d[1])
 
 
@@ -682,7 +684,7 @@ def ribbon_faces(
         while True:
             walk.append(d)
             remaining.discard(d)
-            d = succ[reverse_dart(g, d)]
+            d = succ[reverse_dart(d)]
             if d == start:
                 break
         faces.append(walk)
@@ -778,7 +780,7 @@ def rotation_from_circuits(
         cyc = [v_darts[0]]
         assigned.add(v_darts[0])
         while True:
-            nxt = succ[reverse_dart(g, cyc[-1])]
+            nxt = succ[reverse_dart(cyc[-1])]
             if nxt == cyc[0]:
                 break
             if g.dart_tail(nxt) != v or nxt in assigned:

@@ -200,12 +200,6 @@ def rotation_from_json(data) -> Any:
     }
 
 
-def rotation_pair_from_json(data) -> tuple:
-    """The rotation systems ``{"a": ..., "b": ...}`` of a pair of complexes."""
-    data = _obj(data, "rotations")
-    return rotation_from_json(data.get("a")), rotation_from_json(data.get("b"))
-
-
 def orbicomplex_to_json(c: Orbicomplex) -> dict:
     return {
         "pieces": [piece_to_json(p) for p in c.pieces],
@@ -356,6 +350,15 @@ def dumps(data: Any) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object whose keys are all distinct: ``json.load`` alone would
+    keep the last of two equal keys."""
+    out: dict = {}
+    for key, value in pairs:
+        _put(out, key, value, "key")
+    return out
+
+
 def load_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)

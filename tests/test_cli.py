@@ -310,6 +310,28 @@ def test_cmd_verify_malformed_map_exits_two(chain, tmp_path, capsys, case):
     assert err.startswith("parse error:") and message in err
 
 
+# json.load alone keeps the last of two equal keys, so these files used to
+# be read as if the first copy were not there
+_REPEATED_KEYS = {
+    "vertex-map": ("verify", lambda chain: covering_map_to_json(chain.map1),
+                   '"vertex_map": {', '"hub.0": "w.v1",', "repeated key 'hub.0'"),
+    "piece-field": ("euler", lambda chain: orbicomplex_to_json(chain.base),
+                    '"genus": 0,', '"genus": 0,', "repeated key 'genus'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REPEATED_KEYS))
+def test_cmd_repeated_json_key_exits_two(chain, tmp_path, capsys, case):
+    cmd, to_json, anchor, repeat, message = _REPEATED_KEYS[case]
+    text = serialize.dumps(to_json(chain))
+    assert anchor in text
+    bad_file = tmp_path / "repeated_key.json"
+    bad_file.write_text(text.replace(anchor, f"{anchor} {repeat}", 1))
+    assert run_cli(cmd, str(bad_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
+
+
 def test_cmd_covers_enumeration(chain, tmp_path, capsys):
     cx_file = tmp_path / "cover1.json"
     cx_file.write_text(serialize.dumps(orbicomplex_to_json(chain.cover1)))
@@ -333,28 +355,6 @@ def test_cmd_compare_pair(chain, tmp_path, capsys):
     assert "singular subspaces isomorphic: no" in out
     assert "homotopy certificate: present" in out
     assert "not homeomorphic" in out
-
-
-def test_cmd_compare_with_rotation_file(chain, tmp_path, capsys):
-    a = tmp_path / "y.json"
-    b = tmp_path / "z.json"
-    a.write_text(serialize.dumps(orbicomplex_to_json(chain.y)))
-    b.write_text(serialize.dumps(orbicomplex_to_json(chain.z)))
-    rotations = tmp_path / "rot.json"
-    rotations.write_text(
-        serialize.dumps(
-            {
-                "a": serialize.rotation_to_json(chain.y.rotation),
-                "b": serialize.rotation_to_json(chain.z.rotation),
-            }
-        )
-    )
-    assert run_cli("compare", str(a), str(b), "--rotations", str(rotations)) == 0
-    assert "homotopy certificate: present" in capsys.readouterr().out
-
-    rotations.write_text("[1, 2]")
-    assert run_cli("compare", str(a), str(b), "--rotations", str(rotations)) == 2
-    assert capsys.readouterr().err.startswith("parse error: rotations: expected an object")
 
 
 def test_cmd_paper_demo_json_deterministic(tmp_path):

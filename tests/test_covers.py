@@ -505,6 +505,74 @@ def test_verifier_rejects_single_field_mutants(chain, name):
     assert tried >= 30  # the first cover has no cone fibres
 
 
+def _witness_mutants(chain):
+    """(name, mutant, full report) for one mutant per kind of witness."""
+    f1, f2 = chain.map1, chain.map2
+    key, ref = ("v1-v2-0.01", 0), ("v1-v2-0.01.0", 0, 0)
+    return [
+        ("cone token dropped", replace(f2, cone_fibers={**f2.cone_fibers, key: f2.cone_fibers[key][1:]}), """\
+FAIL degree=2
+  fiber_sums: PASS
+  piece_euler: PASS
+  boundary: PASS
+  cone_fibers: FAIL (cone (v1-v2-0.01,0): no preimage in v1-v2-0.01.0)
+  cone_fibers: FAIL (piece v1-v2-0.01.0: 1 source cones unaccounted)
+  graph_covering: PASS
+  global_euler: PASS"""),
+        ("edge sent to another edge", replace(f2, edge_map={**f2.edge_map, "c.w.v1.0": [("c.w.v2", 1)]}), """\
+FAIL degree=2
+  fiber_sums: PASS
+  piece_euler: PASS
+  boundary: FAIL (segment ('v1-v2-0.01.0', 0, 0): attachment image [('c.w.v1', 1)] != edge path [('c.w.v2', 1)])
+  boundary: FAIL (segment ('v1-v2-1.01.0', 0, 0): attachment image [('c.w.v1', 1)] != edge path [('c.w.v2', 1)])
+  boundary: FAIL (segment ('v1-v3-0.01.01', 0, 0): attachment image [('c.w.v1', 1)] != edge path [('c.w.v2', 1)])
+  boundary: FAIL (segment ('v1-v3-1.01.01', 0, 0): attachment image [('c.w.v1', 1)] != edge path [('c.w.v2', 1)])
+  cone_fibers: PASS
+  graph_covering: FAIL (('v', 'hub.0.0'): target dart ('c.w.v1', 0) covered 0 times, expected 1)
+  graph_covering: FAIL (('v', 'hub.0.0'): target dart ('c.w.v2', 0) covered 2 times, expected 1)
+  graph_covering: FAIL (('v', 'hub.1.0'): target dart ('c.w.v1', 1) covered 0 times, expected 1)
+  graph_covering: FAIL (('v', 'hub.1.0'): target dart ('c.w.v2', 1) covered 2 times, expected 1)
+  graph_covering: FAIL (edge c.w.v1: covered 1 times, expected 2)
+  graph_covering: FAIL (edge c.w.v2: covered 3 times, expected 2)
+  global_euler: PASS"""),
+        ("segment step negated", replace(f2, segment_map={**f2.segment_map, ref: [(0, 0, -1)]}), """\
+FAIL degree=2
+  fiber_sums: PASS
+  piece_euler: PASS
+  boundary: FAIL (segment ('v1-v2-0.01.0', 0, 0): attachment image [('c.w.v1', -1)] != edge path [('c.w.v1', 1)])
+  boundary: FAIL (piece v1-v2-0.01.0 circle 0: fold at plain junction 0 of v1-v2-0.01)
+  boundary: FAIL (piece v1-v2-0.01.0 circle 0: walk broken before step 1)
+  boundary: FAIL (piece v1-v2-0.01.0 circle 0: fold at plain junction 0 of v1-v2-0.01)
+  boundary: FAIL (piece v1-v2-0.01.0 circle 0: walk does not close)
+  cone_fibers: PASS
+  graph_covering: PASS
+  global_euler: PASS"""),
+        ("local degree lowered", replace(f1, piece_map={**f1.piece_map, "v1-v2-0.01": ("v1-v2-0", 1)}), """\
+FAIL degree=2
+  fiber_sums: FAIL (piece v1-v2-0: fiber sum 1 != degree 2)
+  piece_euler: FAIL (piece v1-v2-0.01: chi -2 != 1 * chi(v1-v2-0))
+  boundary: FAIL (target segment (v1-v2-0,0,0): covered 2, expected 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,1): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,2): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,3): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,4): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,5): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,6): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target mirror (v1-v2-0,0,7): boundary coverage 0 inconsistent with local degree 1)
+  boundary: FAIL (target segment (v1-v2-0,0,8): covered 2, expected 1)
+  cone_fibers: PASS
+  graph_covering: PASS
+  global_euler: PASS"""),
+    ]
+
+
+def test_verifier_witness_text(chain):
+    # the whole report: every witness, grouped by condition in the order
+    # the conditions are listed
+    for name, mutant, expected in _witness_mutants(chain):
+        assert str(verify_covering(mutant)) == expected, name
+
+
 def test_singular_functoriality(covering_maps):
     # the induced graph map of every verified cover is itself a covering
     for name, fm in covering_maps:

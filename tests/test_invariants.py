@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -275,8 +276,7 @@ def test_bad_rotation_makes_circuits_not_faces(chain):
     v = sorted(rot)[0]
     assert len(rot[v]) == 3
     rot[v] = [rot[v][1], rot[v][0], rot[v][2]]
-    out = planar_normal_form(chain.y, rot)
-    assert out is None
+    assert planar_normal_form(replace(chain.y, rotation=rot)) is None
 
 
 def test_certificate_for_pair(chain):
