@@ -120,24 +120,6 @@ def single_piece_complex(piece: Piece) -> Orbicomplex:
     return Orbicomplex(pieces=[piece], graph=MarkedGraph(), attachments={})
 
 
-def identity_covering(c: Orbicomplex) -> CoveringMap:
-    """The degree-1 covering of a complex by itself."""
-    f = CoveringMap(
-        source=c,
-        target=c,
-        degree=1,
-        vertex_map={v: v for v in c.graph.marks},
-        edge_map={e: [(e, 1)] for e in c.graph.edges},
-        piece_map={p.id: (p.id, 1) for p in c.pieces},
-    )
-    for p in c.pieces:
-        for ci, si, _kind in p.segments():
-            f.segment_map[(p.id, ci, si)] = [(ci, si, 1)]
-        for j in range(len(p.cones)):
-            f.cone_fibers[(p.id, j)] = [("cone", p.id, j)]
-    return f
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -414,7 +396,7 @@ def verify_covering(f: CoveringMap) -> CoverReport:
             for tok in tokens:
                 if tok[0] == "cone":
                     _kind, spid, sj = tok
-                    if spid not in src or not 0 <= sj < len(src[spid].cones):
+                    if spid not in src or type(sj) is not int or not 0 <= sj < len(src[spid].cones):
                         cone_violations.append(f"cone ({q.id},{j}): bad token {tok}")
                         continue
                     mm = src[spid].cones[sj]

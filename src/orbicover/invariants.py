@@ -5,6 +5,7 @@ form used to certify homotopy equivalence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Optional
 
@@ -60,21 +61,36 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     The pivot is an entry of least absolute value, ties broken by Markowitz
     cost, so unit pivots come first and a singleton row d*e_c reduces its
     column mod d.  The diagonal is regrouped by (gcd, lcm) pairs.
+
+    Pivots wait in a lazy min-heap keyed (|entry|, Markowitz cost, row,
+    column).  A row that an elimination step changes is pushed again, so only
+    the column half of a key can go stale; a popped key whose entry is gone
+    is dropped, and one that differs from its entry's current key is pushed
+    back re-keyed.  Each pivot is thus still an entry of least |value|.
     """
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(matrix)}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+
+    def keys(i: int, row: dict[int, int]):
+        return ((abs(x), (len(row) - 1) * (len(cols[j]) - 1), i, j) for j, x in row.items())
+
+    heap = [k for i, row in rows.items() for k in keys(i, row)]
+    heapify(heap)
     diagonal = []
-    while True:
-        best = min(((abs(x), (len(row) - 1) * (len(cols[j]) - 1), i, j)
-                    for i, row in rows.items() for j, x in row.items()), default=None)
-        if best is None:
-            break
-        pi, pj = best[2:]
-        prow = rows[pi]
+    while heap:
+        popped = heappop(heap)
+        pi, pj = popped[2:]
+        prow = rows.get(pi)
+        if prow is None or pj not in prow:
+            continue
         p = prow[pj]
+        key = (abs(p), (len(prow) - 1) * (len(cols[pj]) - 1), pi, pj)
+        if key != popped:
+            heappush(heap, key)
+            continue
         # clear the column by row operations; a remainder needs a new pivot
         for i in cols[pj] - {pi}:
             row = rows[i]
@@ -87,7 +103,10 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
                 elif j in row:
                     del row[j]
                     cols[j].discard(i)
+            for k in keys(i, row):
+                heappush(heap, k)
         if len(cols[pj]) > 1:
+            heappush(heap, key)
             continue
         # clear the row by column operations, which touch only this row
         for j in [j for j in prow if j != pj]:
@@ -98,6 +117,9 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
         if len(prow) == 1:
             diagonal.append(abs(p))
             del rows[pi], cols[pj]
+        else:
+            for k in keys(pi, prow):
+                heappush(heap, k)
     chain: list[int] = []
     for d in sorted(diagonal):
         if chain and d % chain[-1]:

@@ -293,9 +293,11 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
         for m in p.cones:
             if m < 2:
                 out.append(Violation("BadConeOrder", f"{p.id}: order {m}"))
-        for ci, si, kind in p.segments():
-            if kind not in (MIRROR, FREE):
-                out.append(Violation("UnknownSegmentKind", f"{p.id} circle {ci} segment {si}: {kind!r}"))
+        for ci, circle in enumerate(p.boundary):
+            if circle.count(MIRROR) + circle.count(FREE) < len(circle):
+                for si, kind in enumerate(circle):
+                    if kind not in (MIRROR, FREE):
+                        out.append(Violation("UnknownSegmentKind", f"{p.id} circle {ci} segment {si}: {kind!r}"))
         if p.has_mirrors:
             if p.genus != 0:
                 out.append(Violation("MirrorOnPositiveGenus", p.id))

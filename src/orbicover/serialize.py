@@ -77,13 +77,6 @@ def _segment_ref(data: dict) -> tuple[str, int, int]:
 # --- defining graphs -------------------------------------------------------
 
 
-def defining_graph_to_json(g: DefiningGraph) -> dict:
-    return {
-        "vertices": g.sorted_vertices(),
-        "edges": [list(e) for e in g.sorted_edges()],
-    }
-
-
 def defining_graph_from_json(data: dict) -> DefiningGraph:
     data = _obj(data, "defining graph")
     vertices = [_str(v, "vertex id") for v in _list(_need(data, "vertices"), "vertices")]

@@ -8,12 +8,13 @@ from orbicover.serialize import (
     covering_map_from_json,
     covering_map_to_json,
     defining_graph_from_json,
-    defining_graph_to_json,
     marked_graph_from_json,
     marked_graph_to_json,
     orbicomplex_from_json,
     orbicomplex_to_json,
 )
+
+from helpers import defining_graph_to_json
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from orbicover.covers import (
     compose,
     double_cover,
     enumerate_double_covers,
-    identity_covering,
     reflection_double,
     rotation_double,
     surface_over_disk_tower,
@@ -41,6 +40,8 @@ from orbicover.orbicore import (
     topological_form,
     wall_mark,
 )
+
+from helpers import identity_covering
 
 
 def make_polygon(n):
@@ -503,6 +504,23 @@ def test_verifier_rejects_single_field_mutants(chain, name):
                 continue
             assert not report.passed, f"{name}: a {kind} mutant passes"
     assert tried >= 30  # the first cover has no cone fibres
+
+
+@pytest.mark.parametrize("kind", ["smooth", "cone"])
+def test_verifier_reports_cone_token_with_non_integer_index(chain, kind):
+    # a re-kinded ("smooth", piece, tag) token has a string index, and a
+    # bool index is not a cone number either
+    f = chain.map2
+    key, toks = next(
+        (key, toks) for key, toks in sorted(f.cone_fibers.items())
+        if any(t[0] == kind for t in toks)
+    )
+    k = next(k for k, t in enumerate(toks) if t[0] == kind)
+    bad = ("cone", toks[k][1], toks[k][2] if kind == "smooth" else False)
+    mutant = replace(f, cone_fibers={**f.cone_fibers, key: toks[:k] + [bad] + toks[k + 1:]})
+    report = verify_covering(mutant)
+    assert not report.passed
+    assert f"cone ({key[0]},{key[1]}): bad token {bad}" in [c.witness for c in report.failures()]
 
 
 def _witness_mutants(chain):

@@ -119,6 +119,33 @@ def test_snf_property_presentation_shaped_matches_sympy(m):
     assert got == want
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Up to 30x30, with between one and four drawn cells per row on
+    average; the rows of a drawn leading block are doubled, so that the
+    block has no unit pivot and its column clearing leaves remainders."""
+    n_rows, n_cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    m = [[0] * n_cols for _ in range(n_rows)]
+    cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), st.integers(-7, 7))
+    for i, j, x in draw(st.lists(cells, min_size=n_rows, max_size=4 * n_rows)):
+        m[i][j] = x
+    for i in range(draw(st.integers(0, n_rows))):
+        m[i] = [2 * x for x in m[i]]
+    return m
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(sparse_matrices())
+def test_snf_property_sparse_matches_sympy(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    got = smith_normal_form(m)
+    assert _is_chain(got)
+    want = [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ) if d]
+    assert got == want
+
+
 def random_connected_triangle_free(rng, n):
     """A random spanning tree on n vertices, plus random edges whose ends
     have no common neighbour."""

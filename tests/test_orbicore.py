@@ -12,6 +12,7 @@ from orbicover.orbicore import (
     MarkedGraph,
     Orbicomplex,
     Piece,
+    Violation,
     disk_with_cones,
     euler_characteristic,
     graph_to_dot,
@@ -159,6 +160,19 @@ def test_validate_unknown_segment_kind():
     c = Orbicomplex(pieces=[Piece(id="p", boundary=(("mirror", "mirorr", "free"),))])
     kinds = {v.kind for v in validate_complex(c)}
     assert "UnknownSegmentKind" in kinds
+
+
+@pytest.mark.parametrize("bad", ["edge", {"kind": "free"}], ids=["string", "unhashable"])
+def test_validate_lists_each_unknown_segment_kind_once(bad):
+    # the bad kind sits on the second circle of a valid annulus; an
+    # unhashable kind is reported like any other
+    c = Orbicomplex(pieces=[
+        Piece(id="d", boundary=(("mirror", "free", "mirror"),)),
+        Piece(id="a", boundary=(("free",), ("free", bad, "free"))),
+    ])
+    assert validate_complex(c) == [
+        Violation("UnknownSegmentKind", f"a circle 1 segment 1: {bad!r}")
+    ]
 
 
 # ---------------------------------------------------------------------------
