@@ -245,9 +245,7 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
     pid, tgt_pid = src_piece.id, tgt_piece.id
     local_degree = f.piece_map[pid][1]
 
-    coverage: dict[tuple[int, int], int] = {
-        (ci, si): 0 for ci, si, _k in tgt_piece.segments()
-    }
+    coverage: Counter[tuple[int, int]] = Counter()
 
     for ci, circle in enumerate(src_piece.boundary):
         steps_all: list[Step] = []
@@ -314,8 +312,8 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
         if prev_end != first_start:
             out.append(f"piece {pid} circle {ci}: walk does not close")
 
-    for (ci, si), hits in sorted(coverage.items()):
-        kind = tgt_piece.boundary[ci][si]
+    for ci, si, kind in tgt_piece.segments():
+        hits = coverage[(ci, si)]
         if kind == FREE:
             if hits != local_degree:
                 out.append(
@@ -394,7 +392,9 @@ def verify_covering(f: CoveringMap) -> CoverReport:
                 continue
             per_source: Counter[str] = Counter()
             for tok in tokens:
-                if tok[0] == "cone":
+                if len(tok) != 3 or type(tok[1]) is not str:
+                    cone_violations.append(f"cone ({q.id},{j}): bad token {tok}")
+                elif tok[0] == "cone":
                     _kind, spid, sj = tok
                     if spid not in src or type(sj) is not int or not 0 <= sj < len(src[spid].cones):
                         cone_violations.append(f"cone ({q.id},{j}): bad token {tok}")
@@ -566,12 +566,6 @@ class TwoTorsionLabeling:
                 self.edges.values(), self.cones.values(),
                 self.mirrors.values(), self.walls.values(),
             )
-        )
-
-    def key(self) -> tuple:
-        return tuple(
-            tuple(sorted((k, v) for k, v in values.items() if v))
-            for values in (self.edges, self.cones, self.mirrors, self.walls)
         )
 
 

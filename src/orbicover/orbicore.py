@@ -546,87 +546,79 @@ def _refined_signatures(
     return sig
 
 
-def _component_isos(
-    a: _SearchIndex, verts1: list[str], sig1: dict[str, int],
-    b: _SearchIndex, verts2: list[str], sig2: dict[str, int],
-) -> Iterator[dict[str, str]]:
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return
-
-    # BFS order so every vertex after the root touches a mapped one
-    freq = Counter(sig1.values())
-    root = min(verts1, key=lambda v: (freq[sig1[v]], v))
-    order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        for u in sorted(a.nbrs[queue.popleft()]):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-                queue.append(u)
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(i: int) -> Iterator[dict[str, str]]:
-        if i == len(order):
-            yield dict(mapping)
-            return
-        v = order[i]
-        anchors = [u for u in a.nbrs[v] if u in mapping]
-        cands = set.intersection(*(b.nbrs[mapping[u]] for u in anchors)) if anchors else verts2
-        for w in sorted(cands):
-            # as v has no edge to its mapped non-neighbours, w has as many
-            # mapped neighbours as v
-            if (w in used or sig2[w] != sig1[v]
-                    or len(b.nbrs[w] & used) != len(anchors)
-                    or a.edges(v, v) != b.edges(w, w)
-                    or any(a.edges(v, u) != b.edges(w, mapping[u]) for u in anchors)):
-                continue
-            mapping[v] = w
-            used.add(w)
-            yield from extend(i + 1)
-            del mapping[v]
-            used.remove(w)
-
-    yield from extend(0)
-
-
 def iter_marked_graph_isomorphisms(
     g1: MarkedGraph, colours1: dict[str, tuple], g2: MarkedGraph, colours2: dict[str, tuple]
 ) -> Iterator[dict[str, str]]:
     """Every vertex bijection g1 -> g2 that preserves colours, adjacency and
     edge multiplicities, in a deterministic order.
 
-    Backtracking over components with refined-signature partition pruning
-    and connectivity-first candidate ordering.  Colours are tuples, all
-    mutually orderable.
+    One backtrack over g1's vertices, component by component in key order
+    and breadth-first within each, with refined-signature pruning.  Colours
+    are tuples, all mutually orderable.
     """
     if len(g1.marks) != len(g2.marks) or len(g1.edges) != len(g2.edges):
         return
     a, b = _SearchIndex(g1, colours1), _SearchIndex(g2, colours2)
     if a.keys != b.keys:  # both already in key order
         return
-    sigs1 = [_refined_signatures(a, colours1, verts) for verts in a.comps]
     sigs2 = [_refined_signatures(b, colours2, verts) for verts in b.comps]
+    shapes2 = [(key, sorted(sig.values())) for key, sig in zip(b.keys, sigs2)]
+    sig1: dict[str, int] = {}
+    sig2 = {v: s for sig in sigs2 for v, s in sig.items()}
 
-    def match(i: int, taken: set[int], acc: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(a.comps):
-            yield dict(acc)
-            return
-        for j in range(len(b.comps)):
-            if j in taken or b.keys[j] != a.keys[i]:
-                continue
-            for part in _component_isos(a, a.comps[i], sigs1[i], b, b.comps[j], sigs2[j]):
-                acc.update(part)
-                taken.add(j)
-                yield from match(i + 1, taken, acc)
-                taken.discard(j)
-                for k in part:
-                    acc.pop(k, None)
+    # each root tries the vertices of every g2 component of its key and
+    # signature multiset; every later vertex touches an earlier one
+    position: dict[str, int] = {}
+    roots: dict[str, list[str]] = {}
+    for key, verts in zip(a.keys, a.comps):
+        sig = _refined_signatures(a, colours1, verts)
+        sig1.update(sig)
+        freq = Counter(sig.values())
+        root = min(verts, key=lambda v: (freq[sig[v]], v))
+        shape = (key, sorted(sig.values()))
+        roots[root] = [w for s, comp in zip(shapes2, b.comps) if s == shape for w in comp]
+        position[root] = len(position)
+        queue = deque([root])
+        while queue:
+            for u in sorted(a.nbrs[queue.popleft()]):
+                if u not in position:
+                    position[u] = len(position)
+                    queue.append(u)
+    order = list(position)
+    anchors = {v: [u for u in a.nbrs[v] if position[u] < position[v]] for v in order}
 
-    yield from match(0, set(), {})
+    if not order:
+        yield {}
+        return
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    stack = [iter(roots[order[0]])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in mapping:
+            used.remove(mapping.pop(v))
+        back = anchors[v]
+        for w in stack[-1]:
+            # as v has no edge to its mapped non-neighbours, w has as many
+            # mapped neighbours as v
+            if not (w in used or sig2[w] != sig1[v]
+                    or len(b.nbrs[w] & used) != len(back)
+                    or a.edges(v, v) != b.edges(w, w)
+                    or any(a.edges(v, u) != b.edges(w, mapping[u]) for u in back)):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(stack) == len(order):
+            yield dict(mapping)
+            continue
+        u = order[len(stack)]
+        stack.append(iter(
+            sorted(set.intersection(*(b.nbrs[mapping[x]] for x in anchors[u])))
+            if anchors[u] else roots[u]
+        ))
 
 
 def marked_graph_isomorphism(g1: MarkedGraph, g2: MarkedGraph) -> Optional[dict[str, str]]:

@@ -390,9 +390,7 @@ def test_enumerate_rejects_mirrors(chain):
 
 def test_enumeration_deterministic(chain):
     again = enumerate_double_covers(chain.cover1)
-    assert [phi.key() for phi, _c, _f in again] == [
-        phi.key() for phi, _c, _f in chain.family1
-    ]
+    assert [phi for phi, _c, _f in again] == [phi for phi, _c, _f in chain.family1]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +516,24 @@ def test_verifier_reports_cone_token_with_non_integer_index(chain, kind):
     k = next(k for k, t in enumerate(toks) if t[0] == kind)
     bad = ("cone", toks[k][1], toks[k][2] if kind == "smooth" else False)
     mutant = replace(f, cone_fibers={**f.cone_fibers, key: toks[:k] + [bad] + toks[k + 1:]})
+    report = verify_covering(mutant)
+    assert not report.passed
+    assert f"cone ({key[0]},{key[1]}): bad token {bad}" in [c.witness for c in report.failures()]
+
+
+@pytest.mark.parametrize("make_bad", [
+    pytest.param(lambda pid: ("cone", pid), id="cone-short"),
+    pytest.param(lambda pid: ("cone", [pid], 0), id="cone-list-piece"),
+    pytest.param(lambda pid: ("smooth",), id="smooth-short"),
+    pytest.param(lambda pid: ("smooth", [pid], "tag"), id="smooth-list-piece"),
+])
+def test_verifier_reports_malformed_cone_token(chain, make_bad):
+    # tokens built in Python, which the JSON reader would refuse: each is
+    # reported, none raises
+    f = chain.map2
+    key, toks = min(f.cone_fibers.items())
+    bad = make_bad(toks[0][1])
+    mutant = replace(f, cone_fibers={**f.cone_fibers, key: [bad] + toks[1:]})
     report = verify_covering(mutant)
     assert not report.passed
     assert f"cone ({key[0]},{key[1]}): bad token {bad}" in [c.witness for c in report.failures()]

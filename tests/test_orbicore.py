@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,6 +17,8 @@ from orbicover.orbicore import (
     disk_with_cones,
     euler_characteristic,
     graph_to_dot,
+    iter_marked_graph_isomorphisms,
+    mark_kind,
     marked_graph_isomorphism,
     piece_orbifold_euler,
     ribbon_neighborhood,
@@ -24,6 +27,7 @@ from orbicover.orbicore import (
     topological_form,
     validate_complex,
 )
+from orbicover.pipeline import disjoint_copies
 
 from oracles import (
     brute_force_graph_iso,
@@ -365,6 +369,39 @@ def test_iso_tells_apart_graphs_the_refinement_cannot():
     assert marked_graph_isomorphism(rungs, mixed) is None
     got = marked_graph_isomorphism(mixed, relabeled_copy(mixed, random.Random(2)))
     assert got is not None
+
+
+def _all_isos(g, h):
+    """Every mapping the search yields, as sorted item tuples, in order."""
+    def kinds(x):
+        return {v: (mark_kind(m),) for v, m in x.marks.items()}
+
+    return [tuple(sorted(m.items())) for m in iter_marked_graph_isomorphisms(g, kinds(g), h, kinds(h))]
+
+
+def test_iso_search_yields_every_isomorphism_exactly_once():
+    rng = random.Random(29)
+    disconnected = 0
+    for k in range(60):
+        g = random_marked_graph(rng, 5)
+        h = relabeled_copy(g, rng) if k % 2 == 0 else random_marked_graph(rng, 5)
+        disconnected += len(g.components()) > 1
+        got = _all_isos(g, h)
+        v1 = g.vertices()
+        want = {
+            tuple(sorted(zip(v1, perm))) for perm in itertools.permutations(h.vertices())
+            if is_marked_graph_isomorphism(g, h, dict(zip(v1, perm)))
+        }
+        assert len(got) == len(set(got))
+        assert set(got) == want
+    assert disconnected >= 20
+
+
+def test_iso_search_counts_automorphisms_of_disjoint_thetas():
+    # three thetas: 3! ways to match the copies, 2 to match each copy's ends
+    g = disjoint_copies(theta_graph(), 3)
+    got = _all_isos(g, relabeled_copy(g, random.Random(7)))
+    assert len(got) == len(set(got)) == 48
 
 
 def test_iso_mapping_is_valid_bijection():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from orbicover import cli, orbicore, pipeline
@@ -66,3 +68,21 @@ def test_topological_form_iff_on_demo_singular_corpus(chain):
                 is not None
             )
             assert lhs == rhs
+
+
+def test_run_demo_leaves_no_cyclic_garbage():
+    # every object the demo builds is freed by reference counting, so none
+    # waits for the cyclic collector
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        pipeline.run_demo()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
