@@ -60,7 +60,6 @@ from .invariants import (
     fundamental_group_presentation,
     homotopy_equivalence_certificate,
     planar_normal_form,
-    smith_normal_form,
     torsion_freeness,
 )
 from .pipeline import run_demo

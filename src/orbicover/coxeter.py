@@ -55,8 +55,9 @@ class DefiningGraph:
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
-        """Sorted neighbours of every vertex, built once."""
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        """Sorted neighbours of every vertex, built once, keyed in sorted
+        vertex order so that every search over it repeats across processes."""
+        adj: dict[str, list[str]] = {v: [] for v in sorted(self.vertices)}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
@@ -237,22 +238,68 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
     return c
 
 
+def _has_cut_vertex(adj: dict[str, tuple[str, ...]]) -> bool:
+    """True iff the graph is disconnected or some vertex separates it: one
+    iterative lowpoint depth-first search from the least vertex (Hopcroft
+    and Tarjan 1973).  A child w of u with low[w] >= disc[u] makes u a cut
+    vertex, except at the root, which is one iff it has two children."""
+    root = min(adj)
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if u == root:
+                root_children += 1
+            elif low[v] >= disc[u]:
+                return True
+            low[u] = min(low[u], low[v])
+    return root_children > 1 or len(disc) < len(adj)
+
+
 def one_endedness_check(g: DefiningGraph) -> bool:
     """True iff the right-angled Coxeter group of g is one-ended: g is
     neither empty nor complete, and no clique (of any size, the empty one
-    included) separates it. Each clique is grown only by common neighbours
-    that sort after its last vertex, so every clique is tested once."""
+    included) separates it.
+
+    One lowpoint search settles the empty clique and every single vertex.
+    A separating clique contains an inclusion-minimal separator S, itself a
+    clique; each vertex of S has a neighbour in each of the at least two
+    components of g - S, so its degree is at least |S| + 1.  Larger cliques
+    are therefore grown only while all their vertices meet that bound, each
+    by common neighbours that sort after its last vertex, and only those
+    are searched."""
     adj = g.adjacency
     n = len(adj)
     if len(g.edges) == n * (n - 1) // 2:
         return False  # empty or complete graph: finite group
+    if _has_cut_vertex(adj):
+        return False
+    degree = {v: len(ns) for v, ns in adj.items()}
     later = {v: frozenset(u for u in adj[v] if u > v) for v in adj}
-    stack = [((), frozenset(adj))]
+    stack = [((v,), later[v], degree[v]) for v in adj if degree[v] > 2]
     while stack:
-        clique, common = stack.pop()
-        if g._splits(clique):
-            return False
-        stack.extend((clique + (v,), common & later[v]) for v in common)
+        clique, common, least = stack.pop()
+        size = len(clique) + 1
+        for v in sorted(common):
+            grown_least = min(least, degree[v])
+            if grown_least > size:
+                grown = clique + (v,)
+                if g._splits(grown):
+                    return False
+                stack.append((grown, common & later[v], grown_least))
     return True
 
 

@@ -63,21 +63,27 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     column mod d.  The diagonal is regrouped by (gcd, lcm) pairs.
 
     Pivots wait in a lazy min-heap keyed (|entry|, Markowitz cost, row,
-    column).  A row that an elimination step changes is pushed again, so only
-    the column half of a key can go stale; a popped key whose entry is gone
-    is dropped, and one that differs from its entry's current key is pushed
-    back re-keyed.  Each pivot is thus still an entry of least |value|.
+    column).  An entry whose value a step changes is pushed again, so every
+    live entry keeps a key with its current |value| and only the Markowitz
+    half of a key can go stale; a popped key whose entry is gone is dropped,
+    and one that differs from its entry's current key is pushed back
+    re-keyed.  Each pivot is thus still an entry of least |value|.
     """
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(matrix)}
+    return _invariant_factors([{j: x for j, x in enumerate(row) if x} for row in matrix])
+
+
+def _invariant_factors(sparse: list[dict[int, int]]) -> list[int]:
+    """smith_normal_form of {column: nonzero entry} rows, which it consumes."""
+    rows = dict(enumerate(sparse))
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
 
-    def keys(i: int, row: dict[int, int]):
-        return ((abs(x), (len(row) - 1) * (len(cols[j]) - 1), i, j) for j, x in row.items())
+    def key(i: int, j: int, row: dict[int, int]):
+        return (abs(row[j]), (len(row) - 1) * (len(cols[j]) - 1), i, j)
 
-    heap = [k for i, row in rows.items() for k in keys(i, row)]
+    heap = [key(i, j, row) for i, row in rows.items() for j in row]
     heapify(heap)
     diagonal = []
     while heap:
@@ -87,26 +93,28 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
         if prow is None or pj not in prow:
             continue
         p = prow[pj]
-        key = (abs(p), (len(prow) - 1) * (len(cols[pj]) - 1), pi, pj)
-        if key != popped:
-            heappush(heap, key)
+        current = key(pi, pj, prow)
+        if current != popped:
+            heappush(heap, current)
             continue
         # clear the column by row operations; a remainder needs a new pivot
         for i in cols[pj] - {pi}:
             row = rows[i]
             q = row[pj] // p
+            changed = []
             for j, x in prow.items():
                 y = row.get(j, 0) - q * x
                 if y:
                     cols[j].add(i)
                     row[j] = y
+                    changed.append(j)
                 elif j in row:
                     del row[j]
                     cols[j].discard(i)
-            for k in keys(i, row):
-                heappush(heap, k)
+            for j in changed:
+                heappush(heap, key(i, j, row))
         if len(cols[pj]) > 1:
-            heappush(heap, key)
+            heappush(heap, current)
             continue
         # clear the row by column operations, which touch only this row
         for j in [j for j in prow if j != pj]:
@@ -118,8 +126,11 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
             diagonal.append(abs(p))
             del rows[pi], cols[pj]
         else:
-            for k in keys(pi, prow):
-                heappush(heap, k)
+            # every entry needs a key: the pivot's was popped, and each other
+            # entry was at least |p| in absolute value, so reducing it mod p
+            # changed it
+            for j in prow:
+                heappush(heap, key(pi, j, prow))
     chain: list[int] = []
     for d in sorted(diagonal):
         if chain and d % chain[-1]:
@@ -129,24 +140,18 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     return chain
 
 
-def _exponent_matrix(p: GroupPresentation) -> list[list[int]]:
-    """One row per relator: its exponent sum on each generator."""
-    index = {g: i for i, g in enumerate(p.generators)}
-    matrix = []
-    for rel in p.relators:
-        row = [0] * len(p.generators)
-        for g, e in rel:
-            row[index[g]] += e
-        matrix.append(row)
-    return matrix
-
-
 def abelianization(p: GroupPresentation) -> AbelianInvariants:
-    """Invariant factors of the relator exponent-sum matrix."""
-    matrix = _exponent_matrix(p)
-    if not matrix:
-        return AbelianInvariants(len(p.generators), ())
-    factors = smith_normal_form(matrix)
+    """Invariant factors of the relator exponent-sum matrix, built as sparse
+    rows with zero sums left out."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    rows = []
+    for rel in p.relators:
+        row: dict[int, int] = {}
+        for g, e in rel:
+            j = index[g]
+            row[j] = row.get(j, 0) + e
+        rows.append({j: x for j, x in row.items() if x})
+    factors = _invariant_factors(rows)
     torsion = tuple(d for d in factors if d > 1)
     return AbelianInvariants(len(p.generators) - len(factors), torsion)
 

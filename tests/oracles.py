@@ -352,3 +352,30 @@ def random_defining_graph(rng: random.Random, max_vertices: int = 9) -> Defining
     density = rng.uniform(0.2, 0.9)
     pairs = [p for p in itertools.combinations(vs, 2) if rng.random() < density]
     return DefiningGraph.from_edges(vs, pairs)
+
+
+def random_subdivided_graph(rng: random.Random, max_vertices: int = 12) -> DefiningGraph:
+    """Essential vertices joined by branches of 0-3 interior vertices, and
+    sometimes a second such block glued on at a cut vertex: the valence-2
+    chains, cut vertices and low-degree separating edges that
+    random_defining_graph rarely makes."""
+    names = (f"y{i:02d}" for i in itertools.count())
+
+    def block(budget: int):
+        ends = [next(names) for _ in range(rng.randint(2, min(4, budget)))]
+        vs, edges = list(ends), []
+        for _ in range(rng.randint(2, 6)):
+            a, b = rng.sample(ends, 2)
+            inner = [next(names) for _ in range(min(rng.randint(0, 3), budget - len(vs)))]
+            vs += inner
+            path = [a, *inner, b]
+            edges += zip(path, path[1:])
+        return vs, edges
+
+    vs, edges = block(max_vertices)
+    if len(vs) < max_vertices - 1 and rng.random() < 0.4:
+        more, more_edges = block(max_vertices - len(vs) + 1)
+        glued = {more[0]: rng.choice(vs)}
+        vs += more[1:]
+        edges += [(glued.get(a, a), glued.get(b, b)) for a, b in more_edges]
+    return DefiningGraph.from_edges(vs, edges)

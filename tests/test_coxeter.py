@@ -17,7 +17,12 @@ from orbicover.coxeter import (
 )
 from orbicover.orbicore import RAM2, is_wall, piece_orbifold_euler
 
-from oracles import brute_force_one_ended, random_defining_graph, weighted_cell_euler
+from oracles import (
+    brute_force_one_ended,
+    random_defining_graph,
+    random_subdivided_graph,
+    weighted_cell_euler,
+)
 
 
 def path_graph(n):
@@ -71,6 +76,13 @@ def test_racg_abelianization_is_two_group():
     for g in (demo_defining_graph(), path_graph(3), complete_graph(3), theta_defining_graph()):
         ab = invariants.abelianization(racg_presentation(g))
         assert ab == invariants.AbelianInvariants(0, (2,) * len(g.vertices))
+
+
+def test_adjacency_is_keyed_in_sorted_vertex_order():
+    # graph searches start from its first keys, so their work must not
+    # depend on string hashing
+    g = demo_defining_graph()
+    assert list(g.adjacency) == g.sorted_vertices()
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +251,14 @@ def graph_of(pairs):
         (cycle_graph(4), True),
         (cycle_graph(6), True),  # hexagon: a 2-orbifold group
         (graph_of("ad ae af bd be bf cd ce cf"), True),
+        (graph_of("ab bc cd da dp pe ef fg gh he"), False),  # the valence-2 vertex p separates
+        (graph_of("ab bc cd da ae ef fg ga"), False),  # a, the search's root, separates
+        (graph_of("xy yc cb bx yd de ex"), False),  # the edge xy separates; x, y have degree 3
     ],
     ids=[
         "demo", "empty", "K3", "two-isolated-vertices", "path", "two-squares-sharing-an-edge",
         "two-K4-sharing-a-triangle", "square", "hexagon", "K33",
+        "squares-joined-by-a-path", "squares-sharing-the-root", "degree-3-separating-edge",
     ],
 )
 def test_one_endedness(g, expected):
@@ -254,6 +270,16 @@ def test_one_endedness_matches_oracle_on_random_graphs():
     answers = []
     for _ in range(300):
         g = random_defining_graph(rng)
+        answers.append(one_endedness_check(g))
+        assert answers[-1] == brute_force_one_ended(g), sorted(map(sorted, g.edges))
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_one_endedness_matches_oracle_on_subdivided_graphs():
+    rng = random.Random(15)
+    answers = []
+    for _ in range(150):
+        g = random_subdivided_graph(rng)
         answers.append(one_endedness_check(g))
         assert answers[-1] == brute_force_one_ended(g), sorted(map(sorted, g.edges))
     assert 0 < sum(answers) < len(answers)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbicover import invariants
 from orbicover.coxeter import DefiningGraph, GroupPresentation, racg_presentation
 from orbicover.invariants import (
     AbelianInvariants,
@@ -202,6 +203,42 @@ def test_abelianization_racg_path():
 def test_abelianization_free_group():
     pres = GroupPresentation(tuple(f"g{i}" for i in range(9)), ())
     assert abelianization(pres) == AbelianInvariants(9, ())
+
+
+def test_abelianization_keeps_zero_exponent_sums_out_of_its_rows(monkeypatch):
+    # a stored zero would be the pivot of least |value| and divide by zero
+    seen = []
+    elimination = invariants._invariant_factors
+
+    def recording(rows):
+        seen.append(copy.deepcopy(rows))
+        return elimination(rows)
+
+    monkeypatch.setattr(invariants, "_invariant_factors", recording)
+    commutator = GroupPresentation(("a", "b"), ((("a", 1), ("b", 1), ("a", -1), ("b", -1)),))
+    assert abelianization(commutator) == AbelianInvariants(2, ())
+    conjugate = GroupPresentation(("a", "b"), ((("a", 1), ("b", 1), ("a", -1)),))
+    assert abelianization(conjugate) == AbelianInvariants(1, ())
+    assert seen == [[{}], [{1: 1}]]
+
+
+_LETTERS = ("a", "b", "c", "d")
+_words = st.lists(st.tuples(st.sampled_from(_LETTERS), st.sampled_from((-2, -1, 1, 2))), max_size=8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_words, max_size=5))
+def test_abelianization_matches_dense_smith_normal_form(relators):
+    matrix = []
+    for rel in relators:
+        row = [0] * len(_LETTERS)
+        for g, e in rel:
+            row[_LETTERS.index(g)] += e
+        matrix.append(row)
+    factors = smith_normal_form(matrix)
+    pres = GroupPresentation(_LETTERS, tuple(map(tuple, relators)))
+    want = AbelianInvariants(len(_LETTERS) - len(factors), tuple(d for d in factors if d > 1))
+    assert abelianization(pres) == want
 
 
 # ---------------------------------------------------------------------------
