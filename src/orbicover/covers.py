@@ -23,16 +23,14 @@ from .orbicore import (
     OrbicoverError,
     Piece,
     SegRef,
-    all_attachment_circuits,
     _canonical_cycle,
+    attachment_circuit,
     directed_ends,
     disk_with_cones,
     is_wall,
     local_order,
     piece_orbifold_euler,
     euler_characteristic,
-    recompute_multiplicities,
-    require_valid,
     reverse_dart,
     reverse_walk,
     rotation_from_circuits,
@@ -117,16 +115,15 @@ class CoverReport:
 
 
 def single_piece_complex(piece: Piece) -> Orbicomplex:
-    return Orbicomplex(pieces=[piece], graph=MarkedGraph(), attachments={})
+    return Orbicomplex(pieces=(piece,))
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def _check_references(
-    f: CoveringMap, src_pieces: dict[str, Piece], tgt_pieces: dict[str, Piece]
-) -> None:
+def _check_references(f: CoveringMap) -> None:
+    src_pieces, tgt_pieces = f.source.pieces_by_id, f.target.pieces_by_id
     for v, w in f.vertex_map.items():
         if v not in f.source.graph.marks or w not in f.target.graph.marks:
             raise MismatchedComplexes(f"vertex_map {v!r} -> {w!r}")
@@ -192,6 +189,10 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
         u, v = src.edges[e]
         if not path:
             out.append(f"edge {e}: empty image path")
+            continue
+        bent = [step for step in path if step[1] not in (1, -1)]
+        if bent:
+            out += [f"edge {e}: step {step} has direction {step[1]}, not 1 or -1" for step in bent]
             continue
         # endpoint and concatenation consistency
         walk = [directed_ends(tgt, te, d) for te, d in path]
@@ -262,6 +263,9 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
                 if not (0 <= tci < len(tgt_piece.boundary)
                         and 0 <= tsi < len(tgt_piece.boundary[tci])):
                     out.append(f"segment {ref}: step {step} out of range")
+                    return out
+                if d not in (1, -1):
+                    out.append(f"segment {ref}: step {step} has direction {d}, not 1 or -1")
                     return out
                 tgt_circles.add(tci)
                 tkind = tgt_piece.boundary[tci][tsi]
@@ -335,13 +339,11 @@ def verify_covering(f: CoveringMap) -> CoverReport:
     orbifold-Euler multiplicativity, (3) boundary compatibility of segment
     maps including attachment commutation and winding, (4) cone fibers,
     (5) the induced map of singular subspaces is an orbifold graph
-    covering, (6) global Euler multiplicativity.
+    covering, (6) global Euler multiplicativity.  The complexes were
+    validated when built and cannot change, so only the map is checked.
     """
-    require_valid(f.source)
-    require_valid(f.target)
-    src = {p.id: p for p in f.source.pieces}
-    tgt = {q.id: q for q in f.target.pieces}
-    _check_references(f, src, tgt)
+    src, tgt = f.source.pieces_by_id, f.target.pieces_by_id
+    _check_references(f)
     checks: list[CheckResult] = []
 
     def record(condition: str, violations: list[str]) -> None:
@@ -918,9 +920,10 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                 else:
                     cone_fibers[(p.id, j)] = [("smooth", pid2, f"c{j}")]
 
-    cover_cx = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
-    recompute_multiplicities(cover_cx)
-    cover_cx.rotation = derive_rotation(cover_cx)
+    cover_cx = Orbicomplex(
+        pieces=pieces, graph=graph, attachments=attachments,
+        rotation=derive_rotation(graph, pieces, attachments),
+    )
     f = CoveringMap(
         source=cover_cx,
         target=c,
@@ -947,21 +950,23 @@ def davis_double_cover(davis: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
     return double_cover(davis, all_ones_labeling(davis))
 
 
-def derive_rotation(c: Orbicomplex) -> Optional[dict[str, list[tuple[str, int]]]]:
+def derive_rotation(
+    graph: MarkedGraph, pieces: list[Piece], attachments: dict[SegRef, tuple[str, int]]
+) -> Optional[dict[str, list[tuple[str, int]]]]:
     """Canonical ribbon structure whose faces are the attachment circuits,
     when one exists (each distinct circuit counted once)."""
-    if not c.graph.edges:
+    if not graph.edges:
         return None
-    if len(c.attachments) != sum(
-        len(circle) for p in c.pieces for circle in p.boundary
-    ):
+    if len(attachments) != sum(len(circle) for p in pieces for circle in p.boundary):
         return None
-    circuits = all_attachment_circuits(c)
     distinct: dict[tuple, list[tuple[str, int]]] = {}
-    for _key, walk in sorted(circuits.items()):
-        distinct.setdefault(_canonical_cycle(walk), walk)
+    for p in sorted(pieces, key=lambda p: p.id):
+        for ci in range(len(p.boundary)):
+            walk = attachment_circuit(attachments, p, ci)
+            if walk is not None:
+                distinct.setdefault(_canonical_cycle(walk), walk)
     reps = [distinct[k] for k in sorted(distinct)]
-    return rotation_from_circuits(c.graph, reps)
+    return rotation_from_circuits(graph, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,14 +1109,12 @@ def torsion_free_cover(c: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
                 ("smooth", pid2, f"s{cj}.1"),
             ]
 
-    cover_cx = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
-    recompute_multiplicities(cover_cx)
-    if c.rotation is not None:
-        cover_cx.rotation = {
-            f"{v}.{j}": [(f"{e}.{j}", end) for e, end in cyc]
-            for j in range(4)
-            for v, cyc in c.rotation.items()
-        }
+    rotation = None if c.rotation is None else {
+        f"{v}.{j}": [(f"{e}.{j}", end) for e, end in cyc]
+        for j in range(4)
+        for v, cyc in c.rotation.items()
+    }
+    cover_cx = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments, rotation=rotation)
     f = CoveringMap(
         source=cover_cx,
         target=c,

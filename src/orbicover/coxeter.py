@@ -15,8 +15,6 @@ from .orbicore import (
     Orbicomplex,
     OrbicoverError,
     Piece,
-    recompute_multiplicities,
-    require_valid,
     wall_mark,
 )
 
@@ -200,9 +198,9 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
     The polygon of a branch from a to z (a <= z) has boundary
     [free, mirror * n, free]: the first free segment runs hub -> wall(a),
     the mirror chain follows the branch path, the last runs wall(z) -> hub.
-    Graphs with a triangle are refused (HasTriangle). The defining graph
-    is outside input, so the complex is validated once here; the covers
-    built from it are valid by construction.
+    Graphs with a triangle are refused (HasTriangle). Like every complex,
+    the result is validated once, as it is built; so is each cover built
+    from it, and nothing validates them again.
     """
     branches = branch_decomposition(g)
     for a, b in g.sorted_edges():
@@ -232,10 +230,7 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
         attachments[(pid, 0, 0)] = (f"e.{path[0]}", -1)
         attachments[(pid, 0, b.n + 1)] = (f"e.{path[-1]}", 1)
 
-    c = Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
-    recompute_multiplicities(c)
-    require_valid(c)
-    return c
+    return Orbicomplex(pieces=pieces, graph=graph, attachments=attachments)
 
 
 def _has_cut_vertex(adj: dict[str, tuple[str, ...]]) -> bool:

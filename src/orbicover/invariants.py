@@ -386,7 +386,7 @@ def planar_normal_form(c: Orbicomplex) -> Optional[NormalForm]:
     for p in sorted(c.pieces, key=lambda q: q.id):
         faces = []
         for ci in range(len(p.boundary)):
-            walk = attachment_circuit(c, p, ci)
+            walk = attachment_circuit(c.attachments, p, ci)
             if walk is None:
                 raise MalformedRotation(
                     f"piece {p.id} circle {ci} is not a fully attached free circle"

@@ -10,8 +10,10 @@ marked graph.  Everything is exact: Euler characteristics are
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 MIRROR = "mirror"
@@ -144,28 +146,26 @@ def surface_with_boundary(pid: str, genus: int, n_circles: int) -> Piece:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkedGraph:
     """Finite multigraph with vertex marks and edge multiplicities.
 
     ``marks`` maps vertex id -> mark (None, "ram2", or ("wall", label)), its
     key set is the vertex set.  ``edges`` maps edge id -> (u, v); loops are
     allowed.  ``multiplicity`` counts the piece segments attached along each
-    edge (0 for bare graphs).
+    edge (0 for bare graphs).  The fields are never reassigned; a bare graph
+    keeps plain dicts to fill, the graph of a complex read-only ones.
     """
 
-    marks: dict[str, object] = field(default_factory=dict)
-    edges: dict[str, tuple[str, str]] = field(default_factory=dict)
-    multiplicity: dict[str, int] = field(default_factory=dict)
+    marks: Mapping[str, object] = field(default_factory=dict)
+    edges: Mapping[str, tuple[str, str]] = field(default_factory=dict)
+    multiplicity: Mapping[str, int] = field(default_factory=dict)
 
     def vertices(self) -> list[str]:
         return sorted(self.marks)
 
     def edge_ids(self) -> list[str]:
         return sorted(self.edges)
-
-    def copy(self) -> "MarkedGraph":
-        return MarkedGraph(dict(self.marks), dict(self.edges), dict(self.multiplicity))
 
     def darts(self) -> list[tuple[str, int]]:
         """All darts (edge, end); dart (e, i) is traversed ends[i] -> ends[1-i]."""
@@ -227,32 +227,58 @@ class MarkedGraph:
 SegRef = tuple[str, int, int]  # (piece id, circle index, segment index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Orbicomplex:
     """Pieces attached along free boundary segments to a marked graph.
 
     ``attachments`` maps a free segment (piece, circle, seg) to a directed
     graph edge (edge id, +1 or -1); +1 traverses ends[0] -> ends[1].  The
     optional ``rotation`` is a ribbon structure on the attaching graph
-    (vertex -> cyclic dart list), carried by the built-in constructions so
-    planar normal forms need no external input.
+    (vertex -> cyclic tuple of darts), carried by the built-in constructions
+    so planar normal forms need no external input.
 
-    The library's constructors return valid complexes and everything else
-    assumes one: a complex built by hand must pass ``require_valid`` first
-    (``coxeter.davis_orbicomplex``, ``serialize.orbicomplex_from_json`` and
-    ``verify_covering`` call it).
+    A complex is validated once, when it is built, and cannot change after
+    that: its fields are frozen and its mappings are read-only copies of
+    what the caller passed.  An edge multiplicity the caller leaves out is
+    the number of segments attached along the edge; one the caller gives is
+    checked.  An invalid complex raises InvalidComplex naming every
+    violation.
     """
 
-    pieces: list[Piece] = field(default_factory=list)
+    pieces: tuple[Piece, ...] = ()
     graph: MarkedGraph = field(default_factory=MarkedGraph)
-    attachments: dict[SegRef, tuple[str, int]] = field(default_factory=dict)
-    rotation: Optional[dict[str, list[tuple[str, int]]]] = None
+    attachments: Mapping[SegRef, tuple[str, int]] = field(default_factory=dict)
+    rotation: Optional[Mapping[str, tuple[tuple[str, int], ...]]] = None
+    pieces_by_id: Mapping[str, Piece] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        attached = Counter(e for e, _d in self.attachments.values())
+        given = self.graph.multiplicity
+        graph = MarkedGraph(
+            MappingProxyType(dict(self.graph.marks)),
+            MappingProxyType(dict(self.graph.edges)),
+            MappingProxyType({e: given.get(e, attached[e]) for e in self.graph.edges}),
+        )
+        rotation = None if self.rotation is None else MappingProxyType(
+            {v: tuple(cyc) for v, cyc in self.rotation.items()}
+        )
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "attachments", MappingProxyType(dict(self.attachments)))
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "pieces_by_id", MappingProxyType({p.id: p for p in self.pieces}))
+        violations = validate_complex(self)
+        if violations:
+            raise InvalidComplex("; ".join(str(v) for v in violations))
+
+    def __copy__(self) -> "Orbicomplex":
+        return self
+
+    def __deepcopy__(self, memo) -> "Orbicomplex":
+        return self
 
     def piece(self, pid: str) -> Piece:
-        for p in self.pieces:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+        return self.pieces_by_id[pid]
 
     def seg_endpoints(self, ref: SegRef) -> Optional[tuple[str, str]]:
         """Graph vertices at the start/end of an attached segment, in the
@@ -266,14 +292,6 @@ class Orbicomplex:
 def directed_ends(graph: MarkedGraph, edge: str, direction: int) -> tuple[str, str]:
     u, v = graph.edges[edge]
     return (u, v) if direction == 1 else (v, u)
-
-
-def recompute_multiplicities(c: Orbicomplex) -> None:
-    mult = {e: 0 for e in c.graph.edges}
-    for (e, _d) in c.attachments.values():
-        if e in mult:
-            mult[e] += 1
-    c.graph.multiplicity = mult
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +380,6 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
     return out
 
 
-def require_valid(c: Orbicomplex) -> None:
-    violations = validate_complex(c)
-    if violations:
-        raise InvalidComplex("; ".join(str(v) for v in violations))
-
-
 # ---------------------------------------------------------------------------
 # Euler characteristics
 
@@ -423,10 +435,8 @@ def euler_characteristic(c: Orbicomplex) -> Fraction:
 
 def singular_subspace(c: Orbicomplex) -> MarkedGraph:
     """The attaching graph with multiplicities, wall vertices reported as
-    order-2 ramification points."""
-    g = c.graph.copy()
-    g.marks = {v: (RAM2 if is_wall(m) else m) for v, m in g.marks.items()}
-    return g
+    order-2 ramification points; its edges are the complex's, read-only."""
+    return replace(c.graph, marks={v: (RAM2 if is_wall(m) else m) for v, m in c.graph.marks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +447,7 @@ def topological_form(g: MarkedGraph) -> MarkedGraph:
     """Suppress unmarked valence-2 vertices whose two incident edges carry
     equal multiplicity, merging the edges.  Idempotent; preserves the
     homeomorphism type of the marked graph."""
-    g = g.copy()
+    g = MarkedGraph(dict(g.marks), dict(g.edges), dict(g.multiplicity))
     changed = True
     while changed:
         changed = False
@@ -791,28 +801,20 @@ def rotation_from_circuits(
 # attachment circuits
 
 
-def attachment_circuit(c: Orbicomplex, p: Piece, ci: int) -> Optional[list[tuple[str, int]]]:
+def attachment_circuit(
+    attachments: Mapping[SegRef, tuple[str, int]], p: Piece, ci: int
+) -> Optional[list[tuple[str, int]]]:
     """The closed edge walk along which a fully-attached free circle is
     glued, or None if the circle has mirrors or unattached segments."""
     walk = []
     for si, kind in enumerate(p.boundary[ci]):
         if kind != FREE:
             return None
-        att = c.attachments.get((p.id, ci, si))
+        att = attachments.get((p.id, ci, si))
         if att is None:
             return None
         walk.append(att)
     return walk
-
-
-def all_attachment_circuits(c: Orbicomplex) -> dict[tuple[str, int], list[tuple[str, int]]]:
-    out = {}
-    for p in c.pieces:
-        for ci in range(len(p.boundary)):
-            w = attachment_circuit(c, p, ci)
-            if w is not None:
-                out[(p.id, ci)] = w
-    return out
 
 
 def _canonical_cycle(walk: list[tuple[str, int]]) -> tuple:

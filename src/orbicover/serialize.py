@@ -11,7 +11,7 @@ from typing import Any
 from .coxeter import DefiningGraph, GroupPresentation
 from .covers import CoverReport, CoveringMap
 from .invariants import AbelianInvariants
-from .orbicore import MarkedGraph, Orbicomplex, Piece, RAM2, is_wall, require_valid, wall_mark
+from .orbicore import MarkedGraph, Orbicomplex, Piece, RAM2, is_wall, wall_mark
 
 
 class SchemaError(ValueError):
@@ -212,7 +212,7 @@ def orbicomplex_to_json(c: Orbicomplex) -> dict:
 
 
 def orbicomplex_from_json(data: dict) -> Orbicomplex:
-    """The complex ``data`` describes; InvalidComplex unless it is valid."""
+    """The complex ``data`` describes, validated as it is built."""
     data = _obj(data, "orbicomplex")
     pieces = [piece_from_json(pd) for pd in _list(_need(data, "pieces"), "pieces")]
     graph = marked_graph_from_json(_need(data, "graph"))
@@ -221,14 +221,12 @@ def orbicomplex_from_json(data: dict) -> Orbicomplex:
         ad = _obj(ad, "attachment")
         att = (_str(_need(ad, "edge"), "attachment edge"), _int(_need(ad, "direction"), "direction"))
         _put(attachments, _segment_ref(ad), att, "attachment")
-    c = Orbicomplex(
+    return Orbicomplex(
         pieces=pieces,
         graph=graph,
         attachments=attachments,
         rotation=rotation_from_json(data.get("rotation")),
     )
-    require_valid(c)
-    return c
 
 
 # --- covering maps ---------------------------------------------------------

@@ -24,7 +24,6 @@ from orbicover.orbicore import (
     Piece,
     disk_with_cones,
     is_wall,
-    recompute_multiplicities,
     surface_with_boundary,
     wall_mark,
 )
@@ -143,9 +142,7 @@ def random_orbicomplex(rng: random.Random) -> Orbicomplex:
                 )
                 for si, att in zip(run, walk or []):
                     attachments[(p.id, ci, si)] = att
-    c = Orbicomplex(pieces=pieces, graph=g, attachments=attachments)
-    recompute_multiplicities(c)
-    return c
+    return Orbicomplex(pieces=pieces, graph=g, attachments=attachments)
 
 
 def _det(m: list[list[int]]) -> int:
@@ -379,3 +376,38 @@ def random_subdivided_graph(rng: random.Random, max_vertices: int = 12) -> Defin
         vs += more[1:]
         edges += [(glued.get(a, a), glued.get(b, b)) for a, b in more_edges]
     return DefiningGraph.from_edges(vs, edges)
+
+
+def random_branched_graph(rng: random.Random) -> DefiningGraph:
+    """A triangle-free defining graph with 2-4 essential vertices, built
+    the way the benchmark builds its ladders.  The support on the essential
+    vertices is 2-connected (a random cycle plus random chords, or one pair
+    for two vertices) or two such blocks glued at a cut vertex.  Each
+    support pair is joined by 2-3 branches (3 in a two-vertex block, so
+    its ends have valence 3) with 3-5 interior vertices each, so no two
+    essential vertices are adjacent and every polygon of the Davis complex
+    unfolds to a disk with at least four cones."""
+    names = (f"u{i:03d}" for i in itertools.count())
+    essential = [next(names) for _ in range(rng.randint(2, 4))]
+    blocks = [essential]
+    if len(essential) > 2 and rng.random() < 0.4:
+        cut = rng.randint(1, len(essential) - 2)
+        blocks = [essential[:cut + 1], essential[cut:]]
+    support = []
+    for block in blocks:
+        if len(block) == 2:
+            support.append((tuple(block), 3))
+            continue
+        order = rng.sample(block, len(block))
+        cycle = {frozenset(p) for p in zip(order, order[1:] + order[:1])}
+        pairs = [p for p in itertools.combinations(block, 2)
+                 if frozenset(p) in cycle or rng.random() < 0.3]
+        support += [(p, rng.randint(2, 3)) for p in pairs]
+    vertices, edges = list(essential), []
+    for (a, z), branches in support:
+        for _ in range(branches):
+            inner = [next(names) for _ in range(rng.randint(3, 5))]
+            vertices += inner
+            path = [a, *inner, z]
+            edges += zip(path, path[1:])
+    return DefiningGraph.from_edges(vertices, edges)

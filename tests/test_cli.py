@@ -262,6 +262,27 @@ def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
         assert message in captured.out + captured.err, mutate.__name__
 
 
+def test_cmd_verify_step_direction_other_than_one_exits_four(tmp_path, capsys):
+    # a reflection double whose -1 segment steps read -7 used to verify
+    _piece, f = covers.reflection_double(coxeter.branch_polygon(coxeter.Branch(("a", "b", "c", "d", "e"))))
+    data = covering_map_to_json(f)
+    for entry in data["segment_map"]:
+        entry["steps"] = [[ci, si, -7 if d == -1 else d] for ci, si, d in entry["steps"]]
+    bad_file = tmp_path / "bent_cover.json"
+    bad_file.write_text(serialize.dumps(data))
+    assert run_cli("verify", str(bad_file)) == 4
+    assert "has direction -7, not 1 or -1" in capsys.readouterr().out
+
+
+def test_cmd_euler_wrong_stored_multiplicity_exits_three(tmp_path, capsys):
+    data = _demo_complex_json()
+    data["graph"]["edges"][0]["multiplicity"] += 1
+    path = tmp_path / "multiplicity.json"
+    path.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(path)) == 3
+    assert "WrongMultiplicity" in capsys.readouterr().err
+
+
 def _step_circle_minus_one(data):
     data["segment_map"][0]["steps"][0][0] = -1
 

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,6 @@ from orbicover.orbicore import (
     disk_with_cones,
     euler_characteristic,
     piece_orbifold_euler,
-    recompute_multiplicities,
     singular_subspace,
     topological_form,
     wall_mark,
@@ -52,13 +52,11 @@ def loop_complex(n_cones):
     """One disk with cones attached along a single loop edge."""
     g = MarkedGraph(marks={"v": None})
     g.edges["e"] = ("v", "v")
-    c = Orbicomplex(
+    return Orbicomplex(
         pieces=[disk_with_cones("d", n_cones)],
         graph=g,
         attachments={("d", 0, 0): ("e", 1)},
     )
-    recompute_multiplicities(c)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +120,43 @@ def test_dangling_reference_raises(chain):
     broken.piece_map["ghost"] = ("nowhere", 1)
     with pytest.raises(covers.MismatchedComplexes):
         verify_covering(broken)
+
+
+def _segment_steps_at_minus_seven():
+    # the -1 steps of a reflection double written as -7
+    _piece, f = reflection_double(branch_polygon(Branch(("a", "b", "c", "d", "e"))))
+    segment_map = {
+        ref: [(ci, si, -7 if d == -1 else d) for ci, si, d in steps]
+        for ref, steps in f.segment_map.items()
+    }
+    return replace(f, segment_map=segment_map)
+
+
+def _loop_step_at_zero():
+    # a disk beside an unattached loop, the loop sent to itself with step 0
+    g = MarkedGraph(marks={"v": None}, edges={"e": ("v", "v")})
+    f = identity_covering(Orbicomplex(pieces=[disk_with_cones("d", 2)], graph=g))
+    f.edge_map["e"] = [("e", 0)]
+    return f
+
+
+@pytest.mark.parametrize("make, witness", [
+    pytest.param(
+        _segment_steps_at_minus_seven,
+        ("boundary", "segment ('a.b.c.d.e.d', 0, 1): step (0, 0, -7) has direction -7, not 1 or -1"),
+        id="segment-step",
+    ),
+    pytest.param(
+        _loop_step_at_zero,
+        ("graph_covering", "edge e: step ('e', 0) has direction 0, not 1 or -1"),
+        id="edge-step",
+    ),
+])
+def test_verifier_reports_step_direction_other_than_one(make, witness):
+    # any direction but 1 used to be read as -1, so both maps passed
+    report = verify_covering(make())
+    assert not report.passed
+    assert witness in [(c.condition, c.witness) for c in report.failures()]
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +226,10 @@ def test_davis_double_cover_shape(chain):
     walls = [v for v, m in chain.base.graph.marks.items() if orbicore.is_wall(m)]
     assert cover.graph.marks == {"hub.0": None, "hub.1": None}
     assert cover.graph.edges == {f"c.{w}": ("hub.0", "hub.1") for w in walls}
-    assert cover.pieces == [
+    assert cover.pieces == tuple(
         disk_with_cones(f"{p.id}.01", p.boundary[0].count(orbicore.MIRROR) - 1, n_segments=2)
         for p in chain.base.pieces
-    ]
+    )
     assert cover.rotation is not None
     assert verify_covering(f).passed
 
@@ -219,8 +254,6 @@ def test_unfolded_wall_with_two_edges_keeps_its_vertex():
         graph=g,
         attachments={("p", 0, 0): ("e1", -1), ("p", 0, 2): ("e2", 1)},
     )
-    recompute_multiplicities(c)
-    orbicore.require_valid(c)
     cover, f = double_cover(c, TwoTorsionLabeling(walls={"a": 1}, mirrors={("p", 0, 1): 1}))
     assert cover.graph.marks["w.a.m"] is None
     assert len(cover.graph.darts_by_vertex()["w.a.m"]) == 4
@@ -238,8 +271,6 @@ def test_edge_between_two_unfolded_walls_smooths_one():
         graph=g,
         attachments={("d", 0, 0): ("e", 1), ("d", 0, 1): ("e", -1)},
     )
-    recompute_multiplicities(c)
-    orbicore.require_valid(c)
     cover, f = double_cover(c, TwoTorsionLabeling(walls={"a": 1, "b": 1}))
     assert cover.graph.marks == {"W2.m": None}
     assert cover.graph.edges == {"c.W1": ("W2.m", "W2.m")}
@@ -460,44 +491,49 @@ def _negated(seq, k):
     return seq[:k] + [item[:-1] + (-item[-1],)] + seq[k + 1:]
 
 
+def _with_source_attachment(f, ref, att):
+    return replace(f, source=replace(f.source, attachments={**f.source.attachments, ref: att}))
+
+
 def _single_field_mutants(f):
-    """Every single-field mutant of a covering map, by kind."""
+    """Every single-field mutant of a covering map, by kind, each as a call
+    that builds it: a mutant source complex is validated as it is built."""
     targets = sorted(f.target.graph.marks)
-    att = f.source.attachments
     return {
         "edge step": [
-            replace(f, edge_map={**f.edge_map, e: _negated(path, k)})
+            partial(replace, f, edge_map={**f.edge_map, e: _negated(path, k)})
             for e, path in sorted(f.edge_map.items()) for k in range(len(path))
         ],
         "segment step": [
-            replace(f, segment_map={**f.segment_map, ref: _negated(steps, k)})
+            partial(replace, f, segment_map={**f.segment_map, ref: _negated(steps, k)})
             for ref, steps in sorted(f.segment_map.items()) for k in range(len(steps))
         ],
         "cone token": [
-            replace(f, cone_fibers={**f.cone_fibers, key: toks[:k] + toks[k + 1:]})
+            partial(replace, f, cone_fibers={**f.cone_fibers, key: toks[:k] + toks[k + 1:]})
             for key, toks in sorted(f.cone_fibers.items()) for k in range(len(toks))
         ],
         "vertex image": [
-            replace(f, vertex_map={**f.vertex_map, v: w})
+            partial(replace, f, vertex_map={**f.vertex_map, v: w})
             for v, image in sorted(f.vertex_map.items()) for w in targets if w != image
         ],
         "source attachment": [
-            replace(f, source=replace(f.source, attachments={**att, ref: (e, -d)}))
-            for ref, (e, d) in sorted(att.items())
+            partial(_with_source_attachment, f, ref, (e, -d))
+            for ref, (e, d) in sorted(f.source.attachments.items())
         ],
     }
 
 
 @pytest.mark.parametrize("name", ["map1", "map2", "y_hat_map"])
 def test_verifier_rejects_single_field_mutants(chain, name):
-    # every mutant is kept, whatever the verifier says of it
+    # every mutant is kept, whatever the verifier says of it; one refused
+    # as it is built (InvalidComplex) or by the verifier counts as caught
     rng = random.Random(0)
     tried = 0
     for kind, mutants in _single_field_mutants(getattr(chain, name)).items():
-        for mutant in rng.sample(mutants, min(10, len(mutants))):
+        for build in rng.sample(mutants, min(10, len(mutants))):
             tried += 1
             try:
-                report = verify_covering(mutant)
+                report = verify_covering(build())
             except OrbicoverError:
                 continue
             assert not report.passed, f"{name}: a {kind} mutant passes"

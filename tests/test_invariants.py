@@ -25,7 +25,6 @@ from orbicover.orbicore import (
     Orbicomplex,
     disk_with_cones,
     euler_characteristic,
-    recompute_multiplicities,
 )
 
 from oracles import (
@@ -39,13 +38,11 @@ from oracles import (
 def loop_complex(n_cones):
     g = MarkedGraph(marks={"v": None})
     g.edges["e"] = ("v", "v")
-    c = Orbicomplex(
+    return Orbicomplex(
         pieces=[disk_with_cones("d", n_cones)],
         graph=g,
         attachments={("d", 0, 0): ("e", 1)},
     )
-    recompute_multiplicities(c)
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import random
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -54,8 +56,7 @@ def cycle_graph(n):
 
 
 def theta_graph(mult=4):
-    g = MarkedGraph()
-    g.marks = {"x": None, "y": None}
+    g = MarkedGraph(marks={"x": None, "y": None})
     for i in (1, 2, 3):
         g.edges[f"c{i}"] = ("x", "y")
         g.multiplicity[f"c{i}"] = mult
@@ -82,6 +83,9 @@ def test_validate_davis_complex_clean(chain, covering_maps):
 
 
 def test_invariants_and_builders_do_not_revalidate(chain, covering_maps, monkeypatch):
+    # each complex is validated once, when it is built: a builder or a
+    # parser validates what it returns, and the verifier and the
+    # invariants validate nothing; no layer looks a piece up by id
     calls = []
     piece_lookups = []
 
@@ -93,44 +97,118 @@ def test_invariants_and_builders_do_not_revalidate(chain, covering_maps, monkeyp
         piece_lookups.append(pid)
         return original_piece(c, pid)
 
+    y = chain.y
+    complex_text = serialize.dumps(serialize.orbicomplex_to_json(y))
+    map_text = serialize.dumps(serialize.covering_map_to_json(chain.map1))
+
+    def invariants_of_y():
+        euler_characteristic(y)
+        singular_subspace(y)
+        invariants.fundamental_group_presentation(y)
+        invariants.planar_normal_form(y)
+        invariants.torsion_freeness(y)
+
+    def verify_every_tower_map():
+        for name, fm in covering_maps:
+            assert covers.verify_covering(fm).passed, name
+
+    steps = {
+        "davis_double_cover": lambda: covers.davis_double_cover(chain.base),
+        "double_cover": lambda: covers.double_cover(chain.cover1, chain.family1[0][0]),
+        "enumerate_double_covers": lambda: covers.enumerate_double_covers(chain.cover1),
+        "torsion_free_cover": lambda: covers.torsion_free_cover(y),
+        "parse complex": lambda: serialize.orbicomplex_from_json(json.loads(complex_text)),
+        "parse map": lambda: serialize.covering_map_from_json(json.loads(map_text)),
+        "invariants": invariants_of_y,
+        "verify_covering": verify_every_tower_map,
+    }
     original_piece = Orbicomplex.piece
     monkeypatch.setattr(orbicore, "validate_complex", counting_validate)
     monkeypatch.setattr(Orbicomplex, "piece", counting_piece)
-    y = chain.y
-    euler_characteristic(y)
-    singular_subspace(y)
-    invariants.fundamental_group_presentation(y)
-    invariants.planar_normal_form(y)
-    invariants.torsion_freeness(y)
-    covers.davis_double_cover(chain.base)
-    covers.double_cover(chain.cover1, chain.family1[0][0])
-    covers.enumerate_double_covers(chain.cover1)
-    covers.torsion_free_cover(y)
-    assert calls == []
-    # the verifier validates its inputs, but no layer looks a piece up by id
-    for name, fm in covering_maps:
-        assert covers.verify_covering(fm).passed, name
+    counts = {}
+    for name, step in steps.items():
+        calls.clear()
+        step()
+        counts[name] = len(calls)
+    assert counts == {
+        "davis_double_cover": 1,
+        "double_cover": 1,
+        "enumerate_double_covers": 3,
+        "torsion_free_cover": 1,
+        "parse complex": 1,
+        "parse map": 2,
+        "invariants": 0,
+        "verify_covering": 0,
+    }
     assert piece_lookups == []
 
 
-def test_parse_refuses_invalid_complex():
+def test_built_complex_cannot_change(chain):
+    c = chain.cover1
+    with pytest.raises(FrozenInstanceError):
+        c.attachments = {}
+    with pytest.raises(FrozenInstanceError):
+        c.graph.marks = {}
+    ref = min(c.attachments)
+    vertex, edge = min(c.graph.marks), min(c.graph.edges)
+    for mapping, key in (
+        (c.attachments, ref),
+        (c.graph.marks, vertex),
+        (c.graph.edges, edge),
+        (c.graph.multiplicity, edge),
+        (c.rotation, vertex),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+    with pytest.raises(TypeError):
+        c.rotation[vertex][0] = c.rotation[vertex][0]
+    assert copy.deepcopy(c) is c
+    e, d = c.attachments[ref]
+    with pytest.raises(orbicore.InvalidComplex, match="BrokenAttachmentPath"):
+        replace(c, attachments={**c.attachments, ref: (e, -d)})
+
+
+def test_complex_copies_what_it_is_built_from():
+    # the caller's dicts stay the caller's: editing them later leaves the
+    # built complex as it was validated
+    marks, edges = {"v": None}, {"e": ("v", "v")}
+    attachments = {("d", 0, 0): ("e", 1)}
     c = Orbicomplex(
-        pieces=[disk_with_cones("d", 1)],
-        graph=MarkedGraph(),
-        attachments={("d", 0, 0): ("nope", 1)},
+        pieces=[disk_with_cones("d", 2)],
+        graph=MarkedGraph(marks=marks, edges=edges),
+        attachments=attachments,
     )
+    marks["w"] = None
+    edges["e"] = ("v", "w")
+    attachments[("d", 0, 0)] = ("e", -1)
+    assert dict(c.graph.marks) == {"v": None}
+    assert dict(c.graph.edges) == {"e": ("v", "v")}
+    assert dict(c.graph.multiplicity) == {"e": 1}
+    assert dict(c.attachments) == {("d", 0, 0): ("e", 1)}
+
+
+def _refused_kinds(**fields) -> set[str]:
+    """The violation kinds InvalidComplex names when the complex is built."""
+    with pytest.raises(orbicore.InvalidComplex) as exc:
+        Orbicomplex(**fields)
+    return {part.split(":")[0] for part in str(exc.value).split("; ")}
+
+
+def test_parse_refuses_invalid_complex():
+    g = MarkedGraph(marks={"v": None}, edges={"e": ("v", "v")})
+    c = Orbicomplex(pieces=[disk_with_cones("d", 1)], graph=g, attachments={("d", 0, 0): ("e", 1)})
     data = json.loads(serialize.dumps(serialize.orbicomplex_to_json(c)))
+    data["attachments"][0]["edge"] = "nope"
     with pytest.raises(orbicore.InvalidComplex, match="DanglingAttachment"):
         serialize.orbicomplex_from_json(data)
 
 
 def test_validate_dangling_attachment(chain):
-    c = Orbicomplex(
+    kinds = _refused_kinds(
         pieces=[disk_with_cones("d", 2)],
         graph=MarkedGraph(marks={"v": None}),
         attachments={("d", 0, 0): ("missing", 1)},
     )
-    kinds = {v.kind for v in validate_complex(c)}
     assert "DanglingAttachment" in kinds
 
 
@@ -138,12 +216,11 @@ def test_validate_mirror_attached():
     g = MarkedGraph(marks={"u": None, "v": None})
     g.edges["e"] = ("u", "v")
     g.multiplicity["e"] = 1
-    c = Orbicomplex(
+    kinds = _refused_kinds(
         pieces=[polygon_piece(3)],
         graph=g,
         attachments={("p", 0, 1): ("e", 1)},
     )
-    kinds = {v.kind for v in validate_complex(c)}
     assert "MirrorAttached" in kinds
 
 
@@ -151,18 +228,16 @@ def test_validate_wrong_multiplicity():
     g = MarkedGraph(marks={"v": None})
     g.edges["e"] = ("v", "v")
     g.multiplicity["e"] = 5
-    c = Orbicomplex(
+    kinds = _refused_kinds(
         pieces=[disk_with_cones("d", 2)],
         graph=g,
         attachments={("d", 0, 0): ("e", 1)},
     )
-    kinds = {v.kind for v in validate_complex(c)}
     assert "WrongMultiplicity" in kinds
 
 
 def test_validate_unknown_segment_kind():
-    c = Orbicomplex(pieces=[Piece(id="p", boundary=(("mirror", "mirorr", "free"),))])
-    kinds = {v.kind for v in validate_complex(c)}
+    kinds = _refused_kinds(pieces=[Piece(id="p", boundary=(("mirror", "mirorr", "free"),))])
     assert "UnknownSegmentKind" in kinds
 
 
@@ -170,13 +245,12 @@ def test_validate_unknown_segment_kind():
 def test_validate_lists_each_unknown_segment_kind_once(bad):
     # the bad kind sits on the second circle of a valid annulus; an
     # unhashable kind is reported like any other
-    c = Orbicomplex(pieces=[
-        Piece(id="d", boundary=(("mirror", "free", "mirror"),)),
-        Piece(id="a", boundary=(("free",), ("free", bad, "free"))),
-    ])
-    assert validate_complex(c) == [
-        Violation("UnknownSegmentKind", f"a circle 1 segment 1: {bad!r}")
-    ]
+    with pytest.raises(orbicore.InvalidComplex) as exc:
+        Orbicomplex(pieces=[
+            Piece(id="d", boundary=(("mirror", "free", "mirror"),)),
+            Piece(id="a", boundary=(("free",), ("free", bad, "free"))),
+        ])
+    assert str(exc.value) == str(Violation("UnknownSegmentKind", f"a circle 1 segment 1: {bad!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +329,11 @@ def test_singular_subspace_of_unattached_piece_is_empty():
 
 
 def test_suppress_path_to_single_edge():
-    g = MarkedGraph(marks={"a": None, "b": None, "c": None})
-    g.edges = {"e1": ("a", "b"), "e2": ("b", "c")}
-    g.multiplicity = {"e1": 2, "e2": 2}
+    g = MarkedGraph(
+        marks={"a": None, "b": None, "c": None},
+        edges={"e1": ("a", "b"), "e2": ("b", "c")},
+        multiplicity={"e1": 2, "e2": 2},
+    )
     out = topological_form(g)
     assert len(out.marks) == 2 and len(out.edges) == 1
     assert set(next(iter(out.edges.values()))) == {"a", "c"}
@@ -271,9 +347,11 @@ def test_marked_tripod_unchanged():
 
 
 def test_unequal_multiplicities_block_suppression():
-    g = MarkedGraph(marks={"a": None, "b": None, "c": None})
-    g.edges = {"e1": ("a", "b"), "e2": ("b", "c")}
-    g.multiplicity = {"e1": 2, "e2": 3}
+    g = MarkedGraph(
+        marks={"a": None, "b": None, "c": None},
+        edges={"e1": ("a", "b"), "e2": ("b", "c")},
+        multiplicity={"e1": 2, "e2": 3},
+    )
     out = topological_form(g)
     assert len(out.edges) == 2
 
