@@ -30,7 +30,7 @@ def _write(text: str, out: str | None) -> None:
 def _load(path: str):
     try:
         return serialize.load_file(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise serialize.SchemaError(str(exc)) from exc
 
 

@@ -610,12 +610,6 @@ def _fully_attached(c: Orbicomplex, p: Piece) -> bool:
     )
 
 
-def _piece_facts(c: Orbicomplex) -> list[tuple[Piece, bool, bool]]:
-    """Each piece with whether it has mirrors and whether all its free
-    segments are attached."""
-    return [(p, p.has_mirrors, _fully_attached(c, p)) for p in c.pieces]
-
-
 def _glued_mirrors(p: Piece, phi: TwoTorsionLabeling) -> set[int]:
     """The mirror segments of a polygon along which its two sheets glue."""
     return {
@@ -623,40 +617,6 @@ def _glued_mirrors(p: Piece, phi: TwoTorsionLabeling) -> set[int]:
         for si, kind in enumerate(p.boundary[0])
         if kind == MIRROR and phi.mirror((p.id, 0, si)) == 1
     }
-
-
-def _labeling_violations(
-    c: Orbicomplex, phi: TwoTorsionLabeling, facts: list[tuple[Piece, bool, bool]]
-) -> list[str]:
-    out = []
-    for p, mirrored, attached in facts:
-        if mirrored:
-            for ref, label in _mirror_wall_pairs(c, p):
-                if phi.mirror(ref) != phi.wall(label):
-                    out.append(f"mirror {ref} disagrees with wall {label!r}")
-            # every lifted segment must lie on a lifted circle through a free one
-            glued, t = _glued_mirrors(p, phi), len(p.boundary[0])
-            if glued and sum(map(len, _trace_polygon(p.boundary[0], glued))) < 2 * (t - len(glued)):
-                out.append(f"polygon {p.id}: glued mirrors leave a lift of mirrors only")
-            if attached and _sheet_offsets(c, phi, p, 0)[-1] != 0:
-                out.append(f"polygon {p.id}: boundary edge word has parity 1")
-        elif attached:
-            total = 0
-            for ci in range(len(p.boundary)):
-                total ^= _sheet_offsets(c, phi, p, ci)[-1]
-            cone_sum = 0
-            for j in range(len(p.cones)):
-                cone_sum ^= phi.cone(p.id, j)
-            if total != cone_sum:
-                out.append(f"piece {p.id}: boundary parity {total} != cone parity {cone_sum}")
-    return out
-
-
-def labeling_violations(c: Orbicomplex, phi: TwoTorsionLabeling) -> list[str]:
-    """Relator conditions a two-torsion labeling must satisfy on ``c``, and
-    on each polygon a free segment on every lifted boundary circle.
-    Boundary relations only bind fully glued circles."""
-    return _labeling_violations(c, phi, _piece_facts(c))
 
 
 def all_ones_labeling(davis: Orbicomplex) -> TwoTorsionLabeling:
@@ -687,7 +647,7 @@ def _trace_polygon(circle: tuple[str, ...], glued: set[int]) -> list[list[tuple[
     """Boundary circles of two polygon sheets glued along ``glued`` mirror
     segments, as lists of (segment index, sheet); sheet-1 stretches are
     traversed in reverse.  Only circles through a free segment are traced:
-    ``labeling_violations`` refuses a labeling whose traces miss a segment."""
+    ``double_cover`` refuses a labeling whose traces miss a segment."""
     t = len(circle)
     frees = [k for k in range(t) if circle[k] == FREE]
     starts = [(k, s) for k in frees for s in (0, 1)]
@@ -768,19 +728,19 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     An unfolded wall with one edge downstairs lifts to no vertex: the two
     lifts of its edge form one edge ``c.<wall>``, which maps to a folded
     path of length two, and the piece segments that meet there merge.
+
+    The relators are checked as each piece lifts, after the preconditions:
+    a labeling that breaks any raises one NotAHomomorphism naming every
+    broken relator, in piece order.
     """
-    facts = _piece_facts(c)
-    problems = _labeling_violations(c, phi, facts)
-    if problems:
-        raise NotAHomomorphism("; ".join(problems))
     if not phi.is_surjective():
         raise NotSurjective("labeling is identically zero")
-    for p, mirrored, attached in facts:
-        if mirrored:
+    for p in c.pieces:
+        if p.has_mirrors:
             _require_polygon(p)
         else:
             _require_cone_disk(p)
-        if not attached:
+        if not _fully_attached(c, p):
             raise UnsupportedPiece(f"piece {p.id} must be fully attached")
 
     names = _lift_vertex_names(c, phi)
@@ -840,7 +800,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     attachments[(pid, ci, si)] = att
         return piece
 
-    for p, mirrored, _attached in facts:
+    problems: list[str] = []
+    for p in c.pieces:
         circle = p.boundary[0]
         t = len(circle)
         h = _sheet_offsets(c, phi, p, 0)
@@ -862,13 +823,24 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                 for j in range(len(p.cones)):
                     cone_fibers.setdefault((p.id, j), []).append(("cone", pid2, j))
 
-        if mirrored:
+        if p.has_mirrors:
+            for ref, label in _mirror_wall_pairs(c, p):
+                if phi.mirror(ref) != phi.wall(label):
+                    problems.append(f"mirror {ref} disagrees with wall {label!r}")
             glued = _glued_mirrors(p, phi)
+            traces = _trace_polygon(circle, glued)
+            # every lifted segment must lie on a lifted circle through a free one
+            if sum(map(len, traces)) < 2 * (t - len(glued)):
+                problems.append(f"polygon {p.id}: glued mirrors leave a lift of mirrors only")
+            if h[-1] != 0:
+                problems.append(f"polygon {p.id}: boundary edge word has parity 1")
+            if problems:
+                continue
             if not glued:
                 lift_to_two_copies()
                 continue
             circles = []
-            for trace in _trace_polygon(circle, glued):
+            for trace in traces:
                 segments = [lift(si, s, 1 if s == 0 else -1) for si, s in trace]
                 # a glued mirror is crossed on both sheets in a row: one segment
                 circ: list[Segment] = []
@@ -892,7 +864,13 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
         else:
             k = len(p.cones)
             cone_vals = [phi.cone(p.id, j) for j in range(k)]
-            parity = h[-1]
+            parity, cone_parity = h[-1], 0
+            for val in cone_vals:
+                cone_parity ^= val
+            if parity != cone_parity:
+                problems.append(f"piece {p.id}: boundary parity {parity} != cone parity {cone_parity}")
+            if problems:
+                continue
             if parity == 0 and not any(cone_vals):
                 lift_to_two_copies()
                 continue
@@ -919,6 +897,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     new_cone += 2
                 else:
                     cone_fibers[(p.id, j)] = [("smooth", pid2, f"c{j}")]
+    if problems:
+        raise NotAHomomorphism("; ".join(problems))
 
     cover_cx = Orbicomplex(
         pieces=pieces, graph=graph, attachments=attachments,

@@ -241,8 +241,8 @@ class Orbicomplex:
     that: its fields are frozen and its mappings are read-only copies of
     what the caller passed.  An edge multiplicity the caller leaves out is
     the number of segments attached along the edge; one the caller gives is
-    checked.  An invalid complex raises InvalidComplex naming every
-    violation.
+    checked, and so is a rotation.  An invalid complex raises
+    InvalidComplex naming every violation.
     """
 
     pieces: tuple[Piece, ...] = ()
@@ -377,6 +377,12 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
                 if ki == FREE and kj == MIRROR and ends_i:
                     if not is_wall(c.graph.marks.get(ends_i[1])):
                         out.append(Violation("UnmarkedWallJunction", f"{p.id} circle {ci} junction {sj}"))
+
+    if c.rotation is not None:
+        try:
+            check_rotation(c.graph, c.rotation)
+        except MalformedRotation as exc:
+            out.append(Violation("MalformedRotation", str(exc)))
     return out
 
 

@@ -147,7 +147,9 @@ def marked_graph_from_json(data: dict) -> MarkedGraph:
         e = _str(_need(ed, "id"), "edge id")
         u, v = _list(_need(ed, "ends"), f"edge {e!r} ends", 2)
         _put(g.edges, e, (_str(u, "edge end"), _str(v, "edge end")), "edge id")
-        g.multiplicity[e] = _int(ed.get("multiplicity", 0), "edge multiplicity")
+        # absent: the attached count, as Orbicomplex fills it in
+        if "multiplicity" in ed:
+            g.multiplicity[e] = _int(ed["multiplicity"], "edge multiplicity")
     return g
 
 

@@ -103,12 +103,15 @@ def test_cmd_racg_triangle_exits_three(tmp_path, capsys):
         # mixed ids used to exit 1 with "TypeError: '<' not supported"
         '{"vertices": [1, "a", "b"], "edges": []}',
         '{"vertices": [true, false], "edges": []}',
+        # undecodable bytes and deep nesting used to exit 1 with a traceback
+        b"\xff\xfe{}",
+        b"[" * 200_000,
     ],
-    ids=["not-json", "integer-ids", "mixed-ids", "boolean-ids"],
+    ids=["not-json", "integer-ids", "mixed-ids", "boolean-ids", "not-utf8", "deep-nesting"],
 )
 def test_cmd_parse_error(tmp_path, capsys, cmd, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli(cmd, str(path)) == 2
     assert "parse error:" in capsys.readouterr().err
 
@@ -281,6 +284,38 @@ def test_cmd_euler_wrong_stored_multiplicity_exits_three(tmp_path, capsys):
     path.write_text(serialize.dumps(data))
     assert run_cli("euler", str(path)) == 3
     assert "WrongMultiplicity" in capsys.readouterr().err
+
+
+def test_cmd_euler_absent_multiplicity_is_the_attached_count(chain, tmp_path, capsys):
+    # an edge without the key reads like an Orbicomplex built without it
+    data = json.loads(serialize.dumps(orbicomplex_to_json(chain.y)))
+    path = tmp_path / "y.json"
+    path.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(path)) == 0
+    with_key = capsys.readouterr().out
+    del data["graph"]["edges"][0]["multiplicity"]
+    path.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(path)) == 0
+    assert capsys.readouterr().out == with_key == f"{orbicore.euler_characteristic(chain.y)}\n"
+
+
+def _ghost_dart(rotation):
+    rotation[min(rotation)].append(["ghost", 0])
+
+
+def _unknown_vertex(rotation):
+    rotation["nowhere"] = []
+
+
+@pytest.mark.parametrize("mutate", [_ghost_dart, _unknown_vertex], ids=["ghost-dart", "unknown-vertex"])
+def test_cmd_euler_malformed_rotation_exits_three(chain, tmp_path, capsys, mutate):
+    # a rotation naming an unknown dart or vertex used to be built and answered
+    data = json.loads(serialize.dumps(orbicomplex_to_json(chain.y)))
+    mutate(data["rotation"])
+    path = tmp_path / "y_rotation.json"
+    path.write_text(serialize.dumps(data))
+    assert run_cli("euler", str(path)) == 3
+    assert "MalformedRotation" in capsys.readouterr().err
 
 
 def _step_circle_minus_one(data):

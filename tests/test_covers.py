@@ -302,6 +302,57 @@ def test_wall_mirror_mismatch_rejected(chain):
         double_cover(chain.base, phi)
 
 
+def test_refusal_names_every_broken_relator_in_piece_order(chain):
+    # unfold one end mirror of the last polygon and of the first, no wall
+    first, last = chain.base.pieces[0], chain.base.pieces[-1]
+    phi = TwoTorsionLabeling()
+    expected = []
+    for p in (last, first):
+        ref, label = covers._mirror_wall_pairs(chain.base, p)[0]
+        phi.mirrors[ref] = 1
+        expected.insert(0, f"mirror {ref} disagrees with wall {label!r}")
+    with pytest.raises(NotAHomomorphism) as exc:
+        double_cover(chain.base, phi)
+    assert str(exc.value) == "; ".join(expected)
+
+
+def test_precondition_is_checked_before_the_relators(chain):
+    phi = TwoTorsionLabeling(edges={sorted(chain.cover1.graph.edges)[1]: 1})
+    with pytest.raises(NotAHomomorphism):
+        double_cover(chain.cover1, phi)
+    # the same labeling on a complex with an order-3 cone: the precondition wins
+    p = chain.cover1.pieces[0]
+    pieces = (replace(p, cones=(3,) + p.cones[1:]),) + chain.cover1.pieces[1:]
+    c = replace(chain.cover1, pieces=pieces)
+    with pytest.raises(NotADiskOrbifold):
+        double_cover(c, phi)
+
+
+def test_double_cover_visits_each_piece_once(chain, monkeypatch):
+    # sheet offsets, glued mirrors and polygon traces are computed once per
+    # piece per double_cover call: no separate pass checks the labeling
+    calls = []
+    for name in ("_sheet_offsets", "_glued_mirrors", "_trace_polygon"):
+        def counted(*args, _name=name, _inner=getattr(covers, name)):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(covers, name, counted)
+    inner_double_cover = covers.double_cover
+
+    def checked_double_cover(c, phi):
+        calls.clear()
+        out = inner_double_cover(c, phi)
+        polygons = sum(p.has_mirrors for p in c.pieces)
+        assert calls.count("_sheet_offsets") == len(c.pieces)
+        assert calls.count("_glued_mirrors") == calls.count("_trace_polygon") == polygons
+        return out
+
+    monkeypatch.setattr(covers, "double_cover", checked_double_cover)
+    covers.davis_double_cover(chain.base)
+    assert len(calls) == 3 * len(chain.base.pieces)
+    assert len(covers.enumerate_double_covers(chain.cover1)) == len(chain.family1)
+
+
 def test_double_cover_piece_lift_counts(chain):
     # parity-0 pieces with all-zero cones lift to two pieces, others to one
     for phi, cx, fm in chain.family1:
@@ -344,11 +395,10 @@ def test_labeling_violations_exactly_when_double_cover_refuses(chain, walls):
         for ref, label in covers._mirror_wall_pairs(chain.base, p):
             if label in walls:
                 phi.mirrors[ref] = 1
-    problems = covers.labeling_violations(chain.base, phi)
-    assert bool(problems) == (len(walls) == 2)
-    if problems:
-        with pytest.raises(NotAHomomorphism, match="mirrors only"):
+    if len(walls) == 2:
+        with pytest.raises(NotAHomomorphism) as exc:
             double_cover(chain.base, phi)
+        assert all("mirrors only" in problem for problem in str(exc.value).split("; "))
     else:
         _cover, f = double_cover(chain.base, phi)
         assert verify_covering(f).passed
