@@ -136,6 +136,10 @@ def _check_references(f: CoveringMap) -> None:
     for p, (q, _l) in f.piece_map.items():
         if p not in src_pieces or q not in tgt_pieces:
             raise MismatchedComplexes(f"piece_map {p!r} -> {q!r}")
+    for pid, ci, si in f.segment_map:
+        boundary = src_pieces[pid].boundary if pid in src_pieces else ()
+        if not (0 <= ci < len(boundary) and 0 <= si < len(boundary[ci])):
+            raise MismatchedComplexes(f"segment_map key {(pid, ci, si)!r}")
     for (q, j) in f.cone_fibers:
         if q not in tgt_pieces or not 0 <= j < len(tgt_pieces[q].cones):
             raise MismatchedComplexes(f"cone_fibers key ({q!r}, {j})")
@@ -1149,6 +1153,10 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
         cpid, l2 = g.piece_map[bpid]
         piece_map[pid] = (cpid, l1 * l2)
 
+    # the A-pieces over each B-piece, in A-piece order
+    over: dict[str, list[tuple[str, int]]] = {}
+    for apid, (bpid, l) in sorted(f.piece_map.items()):
+        over.setdefault(bpid, []).append((apid, l))
     cone_fibers: dict[tuple[str, int], list[tuple]] = {}
     for (cpid, j), b_tokens in g.cone_fibers.items():
         out_tokens: list[tuple] = []
@@ -1158,11 +1166,8 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
                 out_tokens.extend(f.cone_fibers.get((bpid, bj), []))
             else:
                 _k, bpid, tag = tok
-                for apid, (bp, l) in sorted(f.piece_map.items()):
-                    if bp == bpid:
-                        out_tokens.extend(
-                            ("smooth", apid, f"{tag}.{i}") for i in range(l)
-                        )
+                for apid, l in over.get(bpid, []):
+                    out_tokens.extend(("smooth", apid, f"{tag}.{i}") for i in range(l))
         cone_fibers[(cpid, j)] = out_tokens
 
     return CoveringMap(

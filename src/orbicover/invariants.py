@@ -361,7 +361,8 @@ class NormalForm:
 
     components: tuple[tuple[int, int], ...]  # (genus, circle count) per component
     pieces: tuple[tuple[tuple, tuple[tuple[int, int], ...]], ...]
-    # each entry: (piece type key, tuple of (component, face) per boundary circle)
+    # each entry: ((genus, circle count, sorted cone orders), tuple of
+    # (component, face) per boundary circle); every circle is free
 
 
 def planar_normal_form(c: Orbicomplex) -> Optional[NormalForm]:
@@ -370,17 +371,13 @@ def planar_normal_form(c: Orbicomplex) -> Optional[NormalForm]:
     circuit is not a face of the ribbon structure."""
     if c.rotation is None:
         raise MalformedRotation("no rotation system available")
-    sing = singular_subspace(c)
-    comps = sing.components()
-    comp_data = []
-    face_lookup: dict[tuple, tuple[int, int]] = {}
-    for idx, comp in enumerate(comps):
-        sub = sing.induced(comp)
-        sub_rot = {v: c.rotation[v] for v in sorted(comp) if v in c.rotation}
-        genus, circuits = ribbon_neighborhood(sub, sub_rot)
-        comp_data.append((genus, len(circuits)))
-        for fi, walk in enumerate(circuits):
-            face_lookup[_canonical_cycle(walk)] = (idx, fi)
+    # the singular subspace has the attaching graph's vertices and edges
+    comps = ribbon_neighborhood(c.graph, c.rotation)
+    face_lookup = {
+        _canonical_cycle(walk): (idx, fi)
+        for idx, (_genus, circuits) in enumerate(comps)
+        for fi, walk in enumerate(circuits)
+    }
 
     entries = []
     for p in sorted(c.pieces, key=lambda q: q.id):
@@ -395,8 +392,10 @@ def planar_normal_form(c: Orbicomplex) -> Optional[NormalForm]:
             if face is None:
                 return None
             faces.append(face)
-        entries.append((p.census_key(), tuple(sorted(faces))))
-    return NormalForm(tuple(comp_data), tuple(sorted(entries)))
+        key = (p.genus, len(p.boundary), tuple(sorted(p.cones)))
+        entries.append((key, tuple(sorted(faces))))
+    components = tuple((genus, len(circuits)) for genus, circuits in comps)
+    return NormalForm(components, tuple(sorted(entries)))
 
 
 def _incidence_graph(n: NormalForm) -> tuple[MarkedGraph, dict[str, tuple], dict[str, tuple]]:

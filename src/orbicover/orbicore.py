@@ -68,32 +68,6 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-def _circle_profile(circle: tuple[str, ...]) -> tuple:
-    """Homeomorphism-invariant profile of a boundary circle: the cyclic
-    mirror-run lengths (free-segment subdivision is not intrinsic)."""
-    if MIRROR not in circle:
-        return ("free",)
-    if FREE not in circle:
-        return ("mirror-circle", len(circle))
-    t = len(circle)
-    start = circle.index(FREE)
-    runs: list[int] = []
-    run = 0
-    for i in range(t):
-        if circle[(start + i) % t] == MIRROR:
-            run += 1
-        elif run:
-            runs.append(run)
-            run = 0
-    if run:
-        runs.append(run)
-    variants = []
-    for seq in (runs, list(reversed(runs))):
-        for r in range(len(seq)):
-            variants.append(tuple(seq[r:] + seq[:r]))
-    return ("runs",) + min(variants)
-
-
 @dataclass(frozen=True)
 class Piece:
     """A compact orientable 2-orbifold with boundary.
@@ -118,12 +92,6 @@ class Piece:
     @property
     def has_mirrors(self) -> bool:
         return any(MIRROR in circle for circle in self.boundary)
-
-    def census_key(self) -> tuple:
-        """Homeomorphism-type key: genus, per-circle mirror structure (free
-        subdivisions collapsed), cone orders."""
-        circles = tuple(sorted(_circle_profile(c) for c in self.boundary))
-        return (self.genus, circles, tuple(sorted(self.cones)))
 
 
 def disk_with_cones(pid: str, n_cones: int, n_segments: int = 1) -> Piece:
@@ -216,13 +184,6 @@ class MarkedGraph:
         """Deterministic BFS forest from the least vertex of each component."""
         return self._search()[1]
 
-    def induced(self, verts: set[str]) -> "MarkedGraph":
-        return MarkedGraph(
-            {v: m for v, m in self.marks.items() if v in verts},
-            {e: uv for e, uv in self.edges.items() if uv[0] in verts},
-            {e: m for e, m in self.multiplicity.items() if self.edges[e][0] in verts},
-        )
-
 
 SegRef = tuple[str, int, int]  # (piece id, circle index, segment index)
 
@@ -312,6 +273,8 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
             if m < 2:
                 out.append(Violation("BadConeOrder", f"{p.id}: order {m}"))
         for ci, circle in enumerate(p.boundary):
+            if not circle:
+                out.append(Violation("EmptyBoundaryCircle", f"{p.id} circle {ci}"))
             if circle.count(MIRROR) + circle.count(FREE) < len(circle):
                 for si, kind in enumerate(circle):
                     if kind not in (MIRROR, FREE):
@@ -676,50 +639,42 @@ def check_rotation(g: MarkedGraph, rotation: dict[str, list[tuple[str, int]]]) -
             raise MalformedRotation(f"dart mismatch at {v}")
 
 
-def ribbon_faces(
-    g: MarkedGraph, rotation: dict[str, list[tuple[str, int]]]
-) -> list[list[tuple[str, int]]]:
-    """Boundary face circuits of the ribbon graph, as dart walks."""
-    check_rotation(g, rotation)
-    succ: dict[tuple[str, int], tuple[str, int]] = {}
-    for v, cyc in rotation.items():
-        for i, d in enumerate(cyc):
-            succ[d] = cyc[(i + 1) % len(cyc)]
-    faces = []
-    remaining = set(succ)
-    while remaining:
-        start = min(remaining)
-        walk = []
-        d = start
-        while True:
-            walk.append(d)
-            remaining.discard(d)
-            d = succ[reverse_dart(d)]
-            if d == start:
-                break
-        faces.append(walk)
-    return faces
-
-
 def ribbon_neighborhood(
     g: MarkedGraph, rotation: dict[str, list[tuple[str, int]]]
-) -> tuple[int, list[list[tuple[str, int]]]]:
-    """Genus and boundary circuits of a regular neighborhood of a connected
-    graph thickened by the rotation system.
+) -> list[tuple[int, list[list[tuple[str, int]]]]]:
+    """Genus and boundary circuits of a regular neighborhood of each
+    component of a graph thickened by the rotation system, one pair per
+    component in ``g.components()`` order.
 
     Boundary circuits are face walks as (edge, direction) lists, direction
-    +1 meaning ends[0] -> ends[1].  Satisfies V - E + F = 2 - 2g.
+    +1 meaning ends[0] -> ends[1], each starting at its least dart and
+    ordered by it.  A face belongs to the component of its first dart.
+    Every component satisfies V - E + F = 2 - 2g; one that cannot (a lone
+    vertex has no face) raises MalformedRotation.
     """
-    if len(g.components()) != 1:
-        raise MalformedRotation("graph must be connected")
-    faces = ribbon_faces(g, rotation)
-    v, e, f = len(g.marks), len(g.edges), len(faces)
-    two_minus_2g = v - e + f
-    if two_minus_2g % 2 != 0 or two_minus_2g > 2:
-        raise MalformedRotation(f"inconsistent face count: V-E+F = {two_minus_2g}")
-    genus = (2 - two_minus_2g) // 2
-    circuits = [[(eid, 1 if end == 0 else -1) for eid, end in walk] for walk in faces]
-    return genus, circuits
+    check_rotation(g, rotation)
+    comps = g.components()
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    succ = {d: nxt for cyc in rotation.values() for d, nxt in zip(cyc, cyc[1:] + cyc[:1])}
+    faces: list[list[list[tuple[str, int]]]] = [[] for _ in comps]
+    seen: set[tuple[str, int]] = set()
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        walk, d = [], start
+        while d not in seen:
+            seen.add(d)
+            walk.append((d[0], 1 if d[1] == 0 else -1))
+            d = succ[reverse_dart(d)]
+        faces[comp_of[g.dart_tail(start)]].append(walk)
+    out = []
+    for comp, circuits in zip(comps, faces):
+        # each dart lies on one face, so the faces hold 2E darts
+        two_minus_2g = len(comp) - sum(map(len, circuits)) // 2 + len(circuits)
+        if two_minus_2g % 2 != 0 or two_minus_2g > 2:
+            raise MalformedRotation(f"inconsistent face count: V-E+F = {two_minus_2g}")
+        out.append(((2 - two_minus_2g) // 2, circuits))
+    return out
 
 
 def rotation_from_circuits(

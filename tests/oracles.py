@@ -22,9 +22,7 @@ from orbicover.orbicore import (
     MarkedGraph,
     Orbicomplex,
     Piece,
-    disk_with_cones,
     is_wall,
-    surface_with_boundary,
     wall_mark,
 )
 
@@ -277,13 +275,8 @@ def brute_force_normal_form_iso(n1: NormalForm, n2: NormalForm):
     return None
 
 
-_PIECE_KEYS = [
-    disk_with_cones("d", 2).census_key(),
-    disk_with_cones("d", 3).census_key(),
-    surface_with_boundary("s", 0, 2).census_key(),
-    surface_with_boundary("s", 1, 2).census_key(),
-    surface_with_boundary("s", 0, 3).census_key(),
-]
+# (genus, circle count, sorted cone orders), as planar_normal_form keys a piece
+_PIECE_KEYS = [(0, 1, (2, 2)), (0, 1, (2, 2, 2)), (0, 2, ()), (1, 2, ()), (0, 3, ())]
 
 
 def random_normal_form(rng: random.Random, like: NormalForm = None) -> NormalForm:
@@ -295,7 +288,7 @@ def random_normal_form(rng: random.Random, like: NormalForm = None) -> NormalFor
     else:
         comps, keys = like.components, [key for key, _faces in like.pieces]
     faces = [(i, f) for i, (_genus, circles) in enumerate(comps) for f in range(circles)]
-    pieces = [(key, tuple(sorted(rng.choice(faces) for _ in key[1]))) for key in keys]
+    pieces = [(key, tuple(sorted(rng.choice(faces) for _ in range(key[1])))) for key in keys]
     return NormalForm(comps, tuple(sorted(pieces)))
 
 

@@ -145,12 +145,17 @@ def _circle_minus_one(data):
     data["attachments"][0]["circle"] = -1
 
 
+def _empty_circle(data):
+    data["pieces"].append({"id": "empty", "boundary": [[]]})
+
+
 def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
     # a negative index must not alias the last segment or circle
     for mutate, violation in (
         (_kind_typo, "UnknownSegmentKind"),
         (_last_segment_minus_one, "UnknownSegment:"),
         (_circle_minus_one, "UnknownSegment:"),
+        (_empty_circle, "EmptyBoundaryCircle"),
     ):
         data = _demo_complex_json()
         mutate(data)
@@ -256,6 +261,8 @@ def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
         (_step_circle_minus_one, 4, "out of range"),
         (_cone_preimage_minus_one, 4, "bad token"),
         (_cone_key_minus_one, 3, "cone_fibers key"),
+        (_segment_key_circle_five, 3, "segment_map key"),
+        (_source_empty_circle, 3, "EmptyBoundaryCircle"),
     ):
         data = json.loads(serialize.dumps(covering_map_to_json(chain.map2)))
         mutate(data)
@@ -337,6 +344,15 @@ def _cone_key_minus_one(data):
     data["cone_fibers"][-1]["cone"] = -1
 
 
+def _segment_key_circle_five(data):
+    data["segment_map"].append({**data["segment_map"][0], "circle": 5})
+
+
+def _source_empty_circle(data):
+    _empty_circle(data["source"])
+    data["piece_map"]["empty"] = next(iter(data["piece_map"].values()))
+
+
 def _first_cone_token_misspelt(data):
     data["cone_fibers"][0]["preimages"][0][0] = "cnoe"
 
@@ -402,6 +418,16 @@ def test_cmd_covers_precondition(chain, tmp_path, capsys):
     assert run_cli("covers", str(cx_file)) == 3
 
 
+def test_cmd_covers_empty_boundary_circle_exits_three(chain, tmp_path, capsys):
+    # an empty circle used to reach the rotation of a cover and raise
+    data = json.loads(serialize.dumps(orbicomplex_to_json(chain.y)))
+    _empty_circle(data)
+    cx_file = tmp_path / "y_empty.json"
+    cx_file.write_text(serialize.dumps(data))
+    assert run_cli("covers", str(cx_file)) == 3
+    assert "EmptyBoundaryCircle" in capsys.readouterr().err
+
+
 def test_cmd_compare_pair(chain, tmp_path, capsys):
     a = tmp_path / "y.json"
     b = tmp_path / "z.json"
@@ -412,6 +438,19 @@ def test_cmd_compare_pair(chain, tmp_path, capsys):
     assert "singular subspaces isomorphic: no" in out
     assert "homotopy certificate: present" in out
     assert "not homeomorphic" in out
+
+
+@pytest.mark.parametrize("a, b", [("y", "z"), ("y_hat", "z_hat")])
+def test_cmd_compare_json_matches_golden(chain, tmp_path, a, b):
+    paths = []
+    for name in (a, b):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize.dumps(orbicomplex_to_json(getattr(chain, name))))
+        paths.append(str(path))
+    out = tmp_path / "compare.json"
+    assert run_cli("compare", "--json", "--out", str(out), *paths) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"compare_{a}_{b}.json"
+    assert out.read_text() == golden.read_text(encoding="utf-8")
 
 
 def test_cmd_paper_demo_json_deterministic(tmp_path):

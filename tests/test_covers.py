@@ -114,12 +114,19 @@ def test_missing_segment_map_fails_boundary(chain):
 
 
 def test_dangling_reference_raises(chain):
+    # a piece_map entry, or a segment_map key naming no source piece or circle
     import copy
 
-    broken = copy.deepcopy(chain.map1)
-    broken.piece_map["ghost"] = ("nowhere", 1)
-    with pytest.raises(covers.MismatchedComplexes):
-        verify_covering(broken)
+    ref = sorted(chain.map1.segment_map)[0]
+    for mutate in (
+        lambda f: f.piece_map.update(ghost=("nowhere", 1)),
+        lambda f: f.segment_map.update({("ghost", 0, 0): f.segment_map[ref]}),
+        lambda f: f.segment_map.update({(ref[0], 5, 0): f.segment_map[ref]}),
+    ):
+        broken = copy.deepcopy(chain.map1)
+        mutate(broken)
+        with pytest.raises(covers.MismatchedComplexes):
+            verify_covering(broken)
 
 
 def _segment_steps_at_minus_seven():

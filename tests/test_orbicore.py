@@ -503,7 +503,7 @@ def planar_cycle_rotation(g):
 
 def test_single_cycle_gives_annulus():
     g = cycle_graph(5)
-    genus, circuits = ribbon_neighborhood(g, planar_cycle_rotation(g))
+    [(genus, circuits)] = ribbon_neighborhood(g, planar_cycle_rotation(g))
     assert genus == 0
     assert len(circuits) == 2
 
@@ -514,7 +514,7 @@ def test_theta_planar_rotation_gives_three_faces():
         "x": [("c1", 0), ("c2", 0), ("c3", 0)],
         "y": [("c1", 1), ("c3", 1), ("c2", 1)],
     }
-    genus, circuits = ribbon_neighborhood(g, rot)
+    [(genus, circuits)] = ribbon_neighborhood(g, rot)
     assert (genus, len(circuits)) == (0, 3)
 
 
@@ -524,7 +524,7 @@ def test_theta_twisted_rotation_gives_torus():
         "x": [("c1", 0), ("c2", 0), ("c3", 0)],
         "y": [("c1", 1), ("c2", 1), ("c3", 1)],
     }
-    genus, circuits = ribbon_neighborhood(g, rot)
+    [(genus, circuits)] = ribbon_neighborhood(g, rot)
     assert (genus, len(circuits)) == (1, 1)
 
 
@@ -533,18 +533,17 @@ def test_singular_graph_of_pair_cover_is_planar_with_six_faces(chain):
     # counterexample pair to a genus-0 surface with six boundary circles
     for cx in (chain.y, chain.z):
         s = singular_subspace(cx)
-        genus, circuits = ribbon_neighborhood(s, cx.rotation)
+        [(genus, circuits)] = ribbon_neighborhood(s, cx.rotation)
         assert (genus, len(circuits)) == (0, 6)
 
 
 def test_ribbon_euler_formula_on_random_rotations():
+    # a disconnected graph is answered per component; a lone vertex has no
+    # face, so a graph with one is refused
     rng = random.Random(23)
-    trials = 0
-    while trials < 40:
+    answered = disconnected = 0
+    while answered < 40:
         g = random_marked_graph(rng, 6)
-        if len(g.components()) != 1 or not g.edges:
-            continue
-        trials += 1
         darts_at = {}
         for d in g.darts():
             darts_at.setdefault(g.dart_tail(d), []).append(d)
@@ -552,10 +551,53 @@ def test_ribbon_euler_formula_on_random_rotations():
         for v, ds in darts_at.items():
             rng.shuffle(ds)
             rot[v] = ds
-        genus, circuits = ribbon_neighborhood(g, rot)
-        v, e, fcount = len(g.marks), len(g.edges), len(circuits)
-        assert fcount + v - e == 2 - 2 * genus
-        assert genus >= 0
+        if len(darts_at) < len(g.marks):
+            with pytest.raises(orbicore.MalformedRotation, match="inconsistent face count"):
+                ribbon_neighborhood(g, rot)
+            continue
+        answered += 1
+        comps = g.components()
+        disconnected += len(comps) > 1
+        result = ribbon_neighborhood(g, rot)
+        assert len(result) == len(comps)
+        for comp, (genus, circuits) in zip(comps, result):
+            darts = sorted(d for v in comp for d in darts_at[v])
+            walked = sorted((e, 0 if d == 1 else 1) for walk in circuits for e, d in walk)
+            assert walked == darts
+            assert len(comp) - len(darts) // 2 + len(circuits) == 2 - 2 * genus
+            assert genus >= 0
+    assert disconnected
+
+
+def test_planar_normal_form_refuses_an_isolated_vertex(chain):
+    def with_lone_vertex(c):
+        graph = MarkedGraph({**c.graph.marks, "lone": None}, c.graph.edges, c.graph.multiplicity)
+        return replace(c, graph=graph)
+
+    y, z = with_lone_vertex(chain.y), with_lone_vertex(chain.z)
+    with pytest.raises(orbicore.MalformedRotation, match="V-E\\+F = 1"):
+        invariants.planar_normal_form(y)
+    # equal Euler characteristics, so the refusal is what leaves the
+    # certificate out
+    assert euler_characteristic(y) == euler_characteristic(z)
+    assert invariants.homotopy_equivalence_certificate(y, z) is None
+
+
+def test_planar_normal_form_walks_the_graph_once(chain, monkeypatch):
+    # one search for the components and one rotation check, on the
+    # attaching graph itself
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(MarkedGraph, "components", counted("components", MarkedGraph.components))
+    monkeypatch.setattr(orbicore, "check_rotation", counted("check_rotation", orbicore.check_rotation))
+    invariants.planar_normal_form(chain.y)
+    assert sorted(calls) == ["check_rotation", "components"]
 
 
 def test_malformed_rotation_rejected():
@@ -573,7 +615,7 @@ def test_rotation_from_circuits_roundtrip():
     ]
     rot = rotation_from_circuits(g, circuits)
     assert rot is not None
-    genus, faces = ribbon_neighborhood(g, rot)
+    [(genus, faces)] = ribbon_neighborhood(g, rot)
     assert (genus, len(faces)) == (0, 3)
     canon = {orbicore._canonical_cycle(w) for w in circuits}
     assert {orbicore._canonical_cycle(w) for w in faces} == canon
