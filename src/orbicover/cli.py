@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse/schema failure, 3 precondition failure,
-4 verification or demo-assertion failure.
+Exit codes: 0 success, 2 parse/schema failure or an unwritable --out,
+3 precondition failure, 4 verification or demo-assertion failure.
 """
 
 from __future__ import annotations
@@ -19,10 +19,17 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
 
+class CannotWrite(Exception):
+    pass
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CannotWrite(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -195,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, json_flag=True):
         p.add_argument("--out", help="write output to a file")
-        p.add_argument("--json", action="store_true", help="JSON output")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("racg", help="presentation, branches, one-endedness")
     p.add_argument("graph")
@@ -206,18 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("davis", help="build the reflection orbicomplex")
     p.add_argument("graph")
-    common(p)
+    common(p, json_flag=False)
     p.set_defaults(func=cmd_davis)
 
     p = sub.add_parser("euler", help="exact orbifold Euler characteristic")
     p.add_argument("complex")
-    common(p)
+    common(p, json_flag=False)
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("singular", help="singular subspace (JSON or DOT)")
     p.add_argument("complex")
     p.add_argument("--dot", action="store_true", help="emit DOT text")
-    common(p)
+    common(p, json_flag=False)
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("pi1", help="fundamental group presentation")
@@ -261,6 +269,9 @@ def main(argv=None) -> int:
     except OrbicoverError as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_PRECONDITION
+    except CannotWrite as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -114,10 +114,6 @@ class CoverReport:
         return "\n".join(lines)
 
 
-def single_piece_complex(piece: Piece) -> Orbicomplex:
-    return Orbicomplex(pieces=(piece,))
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -462,12 +458,12 @@ def verify_covering(f: CoveringMap) -> CoverReport:
 
 def _require_polygon(p: Piece) -> int:
     """Number of mirror segments of a branch polygon [free, mirror^n, free]."""
-    if p.genus != 0 or p.cones or len(p.boundary) != 1:
-        raise NotAPolygon(p.id)
-    circle = p.boundary[0]
-    n = len(circle) - 2
-    if n < 1 or circle != (FREE,) + (MIRROR,) * n + (FREE,):
-        raise NotAPolygon(p.id)
+    n = len(p.boundary[0]) - 2 if len(p.boundary) == 1 else 0
+    if p.genus != 0 or p.cones or n < 1 or p.boundary[0] != (FREE,) + (MIRROR,) * n + (FREE,):
+        raise NotAPolygon(
+            f"piece {p.id}: not a reflection polygon (needs genus 0, no cones, "
+            "one boundary circle [free, mirror^n, free] with n >= 1)"
+        )
     return n
 
 
@@ -476,9 +472,9 @@ def reflection_double(p: Piece) -> tuple[Piece, CoveringMap]:
     order-2 cone points double-covers the polygon with n mirror segments,
     corners descending to the cones."""
     n = _require_polygon(p)
-    target = single_piece_complex(p)
+    target = Orbicomplex(pieces=(p,))
     cover_piece = disk_with_cones(f"{p.id}.d", n - 1, n_segments=4)
-    source = single_piece_complex(cover_piece)
+    source = Orbicomplex(pieces=(cover_piece,))
     t_last = n + 1  # index of the second free segment downstairs
     segmap: dict[SegRef, list[Step]] = {
         (cover_piece.id, 0, 0): [(0, 0, 1)],
@@ -498,9 +494,11 @@ def reflection_double(p: Piece) -> tuple[Piece, CoveringMap]:
 
 def _require_cone_disk(p: Piece) -> int:
     if p.genus != 0 or len(p.boundary) != 1 or p.has_mirrors:
-        raise NotADiskOrbifold(p.id)
+        raise NotADiskOrbifold(
+            f"piece {p.id}: not a disk orbifold (needs genus 0, one boundary circle, no mirrors)"
+        )
     if any(m != 2 for m in p.cones):
-        raise NotADiskOrbifold(f"{p.id}: cone orders {p.cones}")
+        raise NotADiskOrbifold(f"piece {p.id}: cone orders {p.cones} (needs order 2 only)")
     return len(p.cones)
 
 
@@ -511,11 +509,11 @@ def rotation_double(p: Piece) -> tuple[Piece, CoveringMap]:
     k = _require_cone_disk(p)
     m = k - 1
     if m < 1:
-        raise NotADiskOrbifold(f"{p.id}: needs at least 2 cones")
+        raise NotADiskOrbifold(f"piece {p.id}: needs at least 2 cones")
     t = len(p.boundary[0])
-    target = single_piece_complex(p)
+    target = Orbicomplex(pieces=(p,))
     cover_piece = disk_with_cones(f"{p.id}.r", 2 * m, n_segments=2 * t)
-    source = single_piece_complex(cover_piece)
+    source = Orbicomplex(pieces=(cover_piece,))
     segmap = {
         (cover_piece.id, 0, j): [(0, j % t, 1)] for j in range(2 * t)
     }
@@ -1006,9 +1004,9 @@ def surface_over_disk_tower(genus: int) -> SurfaceTower:
     disk = disk_with_cones(f"disk.g{g}", g + 3)
     annulus = Piece(f"ann.g{g}", 0, ((FREE,), (FREE,)), (2,) * (2 * g + 2))
     surface = surface_with_boundary(f"surf.g{g}", g, 4)
-    disk_cx = single_piece_complex(disk)
-    annulus_cx = single_piece_complex(annulus)
-    surface_cx = single_piece_complex(surface)
+    disk_cx = Orbicomplex(pieces=(disk,))
+    annulus_cx = Orbicomplex(pieces=(annulus,))
+    surface_cx = Orbicomplex(pieces=(surface,))
 
     lower = CoveringMap(
         source=annulus_cx,

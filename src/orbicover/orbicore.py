@@ -13,6 +13,7 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterator, Optional
 
@@ -353,49 +354,38 @@ def validate_complex(c: Orbicomplex) -> list[Violation]:
 # Euler characteristics
 
 
-def _orbifold_euler(pieces: list[Piece], attachments: dict, quarters: int) -> Fraction:
-    """``quarters``/4 plus the pieces' orbifold Euler characteristics, minus
-    one copy of each cell that ``attachments`` identify with a graph cell.
+def piece_orbifold_euler(p: Piece) -> Fraction:
+    """Orbifold Euler characteristic of a single piece: the one χ rule.
 
     Counted in quarters against the plain surface's 2 - 2g - b: a mirror
     segment (weight 1/2) +2, a corner (1/4) -3, a reflection junction (1/2)
-    -2; an attached segment +4 and a junction next to one -4 in all, as the
-    graph holds their copies.  The k cones of order m subtract k(1 - 1/m).
+    -2.  A cone of order m subtracts 1 - 1/m, over one common denominator.
     """
-    cones = Counter()
-    for p in pieces:
-        cones.update(p.cones)
-        quarters += 4 * (2 - 2 * p.genus - len(p.boundary))
-        for ci, circle in enumerate(p.boundary):
-            glued = [(p.id, ci, si) in attachments for si in range(len(circle))]
-            for si, kind in enumerate(circle):
-                # segment si, then the junction between segments si-1 and si
-                quarters += 2 if kind == MIRROR else 4 * glued[si]
-                mirrors = (kind == MIRROR) + (circle[si - 1] == MIRROR)
-                if mirrors == 2:
-                    quarters -= 3
-                elif glued[si] or glued[si - 1]:
-                    quarters -= 4
-                elif mirrors:
-                    quarters -= 2
-    chi = Fraction(quarters, 4)
-    for m, k in cones.items():
-        chi -= Fraction(k * (m - 1), m)
-    return chi
-
-
-def piece_orbifold_euler(p: Piece) -> Fraction:
-    """Orbifold Euler characteristic of a single piece."""
-    return _orbifold_euler([p], {}, 0)
+    quarters = 4 * (2 - 2 * p.genus - len(p.boundary))
+    for circle in p.boundary:
+        for si, kind in enumerate(circle):
+            # segment si, then the junction between segments si-1 and si
+            mirrors = (kind == MIRROR) + (circle[si - 1] == MIRROR)
+            quarters += 2 * (kind == MIRROR) - (0, 2, 3)[mirrors]
+    den = 4 * lcm(*p.cones)
+    return Fraction(quarters * den // 4 - sum((m - 1) * den // m for m in p.cones), den)
 
 
 def euler_characteristic(c: Orbicomplex) -> Fraction:
-    """Exact orbifold Euler characteristic of the glued complex, by
-    inclusion-exclusion: graph + pieces, minus the cells glued to the graph.
-    The graph counts 4 quarters per vertex of local order 1, 2 per vertex of
-    order 2 and -4 per edge."""
+    """Exact orbifold Euler characteristic of the glued complex: the graph's
+    4 quarters per vertex of local order 1, 2 per vertex of order 2 and -4
+    per edge, plus each piece shape's χ times its count, plus a seam term.
+    Gluing a segment adds +4 and turns each junction beside it into -4: 0 in
+    all, less 2 per side whose neighbour is a free unattached segment."""
     quarters = sum(4 // local_order(m) for m in c.graph.marks.values()) - 4 * len(c.graph.edges)
-    return _orbifold_euler(c.pieces, c.attachments, quarters)
+    for pid, ci, si in c.attachments:
+        circle = c.pieces_by_id[pid].boundary[ci]
+        for sj in ((si - 1) % len(circle), (si + 1) % len(circle)):
+            if circle[sj] == FREE and (pid, ci, sj) not in c.attachments:
+                quarters -= 2
+    shapes = Counter((p.genus, p.boundary, p.cones) for p in c.pieces)
+    pieces = (n * piece_orbifold_euler(Piece("", *shape)) for shape, n in shapes.items())
+    return sum(pieces, Fraction(quarters, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,36 @@ def test_cmd_pi1_ab(demo_graph_file, tmp_path, capsys):
     assert out.count("Z/2") == 25
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["racg", "g"], ["pi1", "c"], ["verify", "f"], ["covers", "c"], ["compare", "a", "b"], ["paper-demo"]],
+    ids=lambda argv: argv[0],
+)
+def test_json_flag_on_the_commands_that_read_it(argv):
+    assert cli.build_parser().parse_args([*argv, "--json"]).json is True
+
+
+@pytest.mark.parametrize("cmd", ["davis", "euler", "singular"])
+def test_json_flag_refused_where_nothing_reads_it(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(cmd, "input.json", "--json")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def test_cmd_unwritable_out_exits_two(demo_graph_file, tmp_path, capsys):
+    # used to die with a FileNotFoundError traceback (exit 1)
+    out_file = tmp_path / "davis.json"
+    run_cli("davis", demo_graph_file, "--out", str(out_file))
+    missing = tmp_path / "nonexistent" / "x.txt"
+    capsys.readouterr()
+    assert run_cli("euler", str(out_file), "--out", str(missing)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {missing}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cmd_pi1_json(chain, tmp_path, capsys):
     # the presentation is printed as generators and [generator, exponent] relators
     path = tmp_path / "y.json"
@@ -304,6 +334,19 @@ def test_cmd_euler_absent_multiplicity_is_the_attached_count(chain, tmp_path, ca
     path.write_text(serialize.dumps(data))
     assert run_cli("euler", str(path)) == 0
     assert capsys.readouterr().out == with_key == f"{orbicore.euler_characteristic(chain.y)}\n"
+
+
+def test_cmd_covers_names_the_shape_a_piece_lacks(chain, tmp_path, capsys):
+    # used to print only "precondition failed: closed"
+    data = json.loads(serialize.dumps(orbicomplex_to_json(chain.y)))
+    data["pieces"].append({"id": "closed", "boundary": []})
+    path = tmp_path / "y_closed.json"
+    path.write_text(serialize.dumps(data))
+    assert run_cli("covers", str(path)) == 3
+    assert capsys.readouterr().err == (
+        "precondition failed: piece closed: not a disk orbifold "
+        "(needs genus 0, one boundary circle, no mirrors)\n"
+    )
 
 
 def _ghost_dart(rotation):

@@ -291,15 +291,42 @@ def test_euler_oracle_agrees_on_all_built_complexes(chain):
 
 def test_euler_matches_oracle_on_random_complexes():
     rng = random.Random(1)
-    glued = 0
+    glued = seamed = 0
     for _ in range(300):
         c = random_orbicomplex(rng)
         assert validate_complex(c) == []
-        assert euler_characteristic(c) == weighted_cell_euler(c)
+        chi = euler_characteristic(c)
+        assert chi == weighted_cell_euler(c)
         for p in c.pieces:
             assert piece_orbifold_euler(p) == weighted_cell_euler(Orbicomplex(pieces=[p]))
         glued += len(c.attachments)
+        # the seam term: what gluing adds beyond the bare graph and pieces
+        bare = weighted_cell_euler(Orbicomplex(graph=MarkedGraph(c.graph.marks, c.graph.edges)))
+        seamed += chi != bare + sum(weighted_cell_euler(Orbicomplex(pieces=[p])) for p in c.pieces)
     assert glued > 900  # most draws glue segments, not only bare pieces
+    assert seamed > 100  # and many glue one beside a free segment left unattached
+
+
+def test_euler_disk_glued_along_one_of_two_segments_is_a_circle():
+    # segment 0 wraps a loop at a plain vertex, segment 1 stays free: the
+    # disk with two boundary points identified, a circle up to homotopy
+    g = MarkedGraph(marks={"v": None}, edges={"e": ("v", "v")})
+    c = Orbicomplex(pieces=[disk_with_cones("d", 0, n_segments=2)], graph=g,
+                    attachments={("d", 0, 0): ("e", 1)})
+    assert euler_characteristic(c) == 0 == weighted_cell_euler(c)
+
+
+def test_euler_evaluates_each_piece_shape_once(chain, monkeypatch):
+    shapes = []
+
+    def counted(p):
+        shapes.append((p.genus, p.boundary, p.cones))
+        return piece_orbifold_euler(p)
+
+    monkeypatch.setattr(orbicore, "piece_orbifold_euler", counted)
+    assert euler_characteristic(chain.y_hat) == Fraction(-144)
+    assert sorted(shapes) == sorted({(p.genus, p.boundary, p.cones) for p in chain.y_hat.pieces})
+    assert len(shapes) < len(chain.y_hat.pieces)
 
 
 # ---------------------------------------------------------------------------
