@@ -19,17 +19,10 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
 
-class CannotWrite(Exception):
-    pass
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CannotWrite(f"cannot write {out}: {exc.strerror or exc}") from exc
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -269,8 +262,8 @@ def main(argv=None) -> int:
     except OrbicoverError as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_PRECONDITION
-    except CannotWrite as exc:
-        sys.stderr.write(f"{exc}\n")
+    except OSError as exc:  # _load turns read errors into SchemaError: this is the --out write
+        sys.stderr.write(f"cannot write {args.out}: {exc.strerror or exc}\n")
         return EXIT_PARSE
 
 

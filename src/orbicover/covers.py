@@ -458,12 +458,16 @@ def verify_covering(f: CoveringMap) -> CoverReport:
 
 def _require_polygon(p: Piece) -> int:
     """Number of mirror segments of a branch polygon [free, mirror^n, free]."""
-    n = len(p.boundary[0]) - 2 if len(p.boundary) == 1 else 0
-    if p.genus != 0 or p.cones or n < 1 or p.boundary[0] != (FREE,) + (MIRROR,) * n + (FREE,):
-        raise NotAPolygon(
-            f"piece {p.id}: not a reflection polygon (needs genus 0, no cones, "
-            "one boundary circle [free, mirror^n, free] with n >= 1)"
-        )
+    msg = (
+        f"piece {p.id}: not a reflection polygon (needs genus 0, no cones, "
+        "one boundary circle [free, mirror^n, free] with n >= 1)"
+    )
+    if p.genus != 0 or p.cones or len(p.boundary) != 1:
+        raise NotAPolygon(msg)
+    circle = p.boundary[0]
+    n = len(circle) - 2
+    if n < 1 or circle != (FREE,) + (MIRROR,) * n + (FREE,):
+        raise NotAPolygon(msg)
     return n
 
 

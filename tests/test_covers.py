@@ -181,8 +181,14 @@ def test_reflection_double_suite(n):
 
 
 def test_reflection_double_rejects_cone_disk():
-    with pytest.raises(NotAPolygon):
-        reflection_double(disk_with_cones("d", 3))
+    # both refusals of _require_polygon name the shape; a loop keeps the test id
+    for piece in (disk_with_cones("d", 3), Piece("d", 0, ((FREE, FREE),)), Piece("d", 0, ((FREE, MIRROR, MIRROR),))):
+        with pytest.raises(NotAPolygon) as exc:
+            reflection_double(piece)
+        assert str(exc.value) == (
+            "piece d: not a reflection polygon (needs genus 0, no cones, "
+            "one boundary circle [free, mirror^n, free] with n >= 1)"
+        )
 
 
 @pytest.mark.parametrize("m", range(1, 9))
