@@ -90,6 +90,9 @@ def cmd_singular(args) -> int:
 
 
 def cmd_pi1(args) -> int:
+    if args.json and not args.ab:
+        sys.stderr.write("--json needs --ab: the presentation is always JSON\n")
+        return EXIT_PARSE
     c = serialize.orbicomplex_from_json(_load(args.complex))
     pres = invariants.fundamental_group_presentation(c)
     if args.ab:
@@ -161,6 +164,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_paper_demo(args) -> int:
+    if args.timings and not args.json:
+        sys.stderr.write("--timings needs --json: only the JSON report carries timings\n")
+        return EXIT_PARSE
     try:
         report = pipeline.run_demo()
     except pipeline.DemoFailure as exc:
@@ -223,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi1", help="fundamental group presentation")
     p.add_argument("complex")
-    p.add_argument("--ab", action="store_true", help="abelianization only")
+    p.add_argument("--ab", action="store_true", help="abelianization only (--json needs it)")
     common(p)
     p.set_defaults(func=cmd_pi1)
 

@@ -11,13 +11,11 @@ from typing import Optional
 
 from .coxeter import GroupPresentation, Word
 from .orbicore import (
-    FREE,
     MIRROR,
     MalformedRotation,
     MarkedGraph,
     Orbicomplex,
     OrbicoverError,
-    Piece,
     _canonical_cycle,
     attachment_circuit,
     is_wall,
@@ -183,6 +181,8 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
     presentation complex Euler-equivalent to the orbicomplex.
     """
     forest = c.graph.spanning_forest()
+    attachments = c.attachments
+    pieces = sorted(c.pieces, key=lambda q: q.id)
 
     gens: list[str] = []
     relators: list[Word] = []
@@ -202,22 +202,11 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
             gens.append(name)
             relators.append(((name, 1), (name, 1)))
 
-    def omega(ref) -> list[tuple[str, int]]:
-        att = c.attachments.get(ref)
-        if att is None:
-            return []
-        e, d = att
-        if e in edge_gen:
-            return [(edge_gen[e], d)]
-        return []
-
-    # connectivity over graph components plus piece connectors
+    # connectivity: each circle joins its piece to the graph component of
+    # its first attached segment; a later circle that merges is a tree connector
     comps = c.graph.components()
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    parent = list(range(len(comps) + len(c.pieces)))
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    parent = list(range(len(comps) + len(pieces)))
 
     def find(x):
         while parent[x] != x:
@@ -225,53 +214,47 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
             x = parent[x]
         return x
 
-    def union(x, y) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
-    def circle_anchor_comp(p: Piece, ci: int) -> Optional[int]:
-        for si in range(len(p.boundary[ci])):
-            ends = c.seg_endpoints((p.id, ci, si))
-            if ends is not None:
-                return comp_of[ends[0]]
-        return None
-
     tree_connectors: set[tuple[str, int]] = set()
-    for pi, p in enumerate(sorted(c.pieces, key=lambda q: q.id)):
-        node = len(comps) + pi
-        for ci in range(len(p.boundary)):
-            a = circle_anchor_comp(p, ci)
-            if a is None:
-                continue
-            if union(node, a) and ci > 0:
-                tree_connectors.add((p.id, ci))
+    for node, p in enumerate(pieces, len(comps)):
+        for ci, circle in enumerate(p.boundary):
+            for si in range(len(circle)):
+                ends = c.seg_endpoints((p.id, ci, si))
+                if ends is not None:
+                    root, other = find(node), find(comp_of[ends[0]])
+                    if root != other:
+                        parent[other] = root
+                        if ci:
+                            tree_connectors.add((p.id, ci))
+                    break
     roots = {find(i) for i in range(len(parent))}
     if len(roots) > 1:
         raise Disconnected(f"{len(roots)} components")
 
-    for p in sorted(c.pieces, key=lambda q: q.id):
-        circle_words = []
-        fully_attached = True
+    for p in pieces:
+        boundary: list[tuple[str, int]] = []
+        connectors = []
+        free = attached = 0
         for ci, circle in enumerate(p.boundary):
-            t = len(circle)
-            pref: list[list[tuple[str, int]]] = [[]]
-            for si in range(t):
-                pref.append(pref[si] + omega((p.id, ci, si)))
-                if circle[si] == FREE and (p.id, ci, si) not in c.attachments:
-                    fully_attached = False
-            circle_words.append(pref[t])
-
-            # mirror generators, squares, corner relators, wall identifications
+            # the circle's edge letters, cut[si] of them before segment si
+            word: list[tuple[str, int]] = []
+            cut = []
             mirror_name = {}
             for si, kind in enumerate(circle):
+                cut.append(len(word))
                 if kind == MIRROR:
                     name = f"s[{p.id}:{ci}:{si}]"
                     mirror_name[si] = name
                     gens.append(name)
                     relators.append(((name, 1), (name, 1)))
+                    continue
+                free += 1
+                att = attachments.get((p.id, ci, si))
+                if att is not None:
+                    attached += 1
+                    if att[0] in edge_gen:
+                        word.append((edge_gen[att[0]], att[1]))
+
+            t = len(circle)
             for si in range(t):
                 sj = (si + 1) % t
                 if circle[si] == MIRROR and circle[sj] == MIRROR:
@@ -279,35 +262,30 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
                     relators.append(((a, 1), (b, 1), (a, 1), (b, 1)))
                 elif circle[si] != circle[sj]:
                     # mirror|free junction: the mirror is conjugate to its wall
-                    mirror, free, end = (si, sj, 0) if circle[si] == MIRROR else (sj, si, 1)
-                    ends = c.seg_endpoints((p.id, ci, free))
+                    mirror, free_si, end = (si, sj, 0) if circle[si] == MIRROR else (sj, si, 1)
+                    ends = c.seg_endpoints((p.id, ci, free_si))
                     if ends is not None:
                         wall = wall_gen[c.graph.marks[ends[end]][1]]
-                        conj = pref[sj]
+                        conj = word[:cut[sj]]
                         rel = [(mirror_name[mirror], 1)] + conj + [(wall, -1)] + reverse_walk(conj)
                         relators.append(_free_reduce(rel))
+            if ci and (p.id, ci) not in tree_connectors:
+                name = f"t[{p.id}:{ci}]"
+                connectors.append(name)
+                word = [(name, 1)] + word + [(name, -1)]
+            boundary += word
 
-        cone_names = []
         for j, m in enumerate(p.cones):
             name = f"x[{p.id}:{j}]"
-            cone_names.append(name)
             gens.append(name)
             relators.append(tuple((name, 1) for _ in range(m)))
 
-        handle_names = []
+        handles: list[tuple[str, int]] = []
         for i in range(p.genus):
-            an, bn = f"a[{p.id}:{i}]", f"b[{p.id}:{i}]"
-            handle_names.append((an, bn))
-            gens.extend((an, bn))
-
-        connector = {}
-        for ci in range(1, len(p.boundary)):
-            if (p.id, ci) in tree_connectors:
-                connector[ci] = None
-            else:
-                name = f"t[{p.id}:{ci}]"
-                connector[ci] = name
-                gens.append(name)
+            a, b = f"a[{p.id}:{i}]", f"b[{p.id}:{i}]"
+            gens.extend((a, b))
+            handles += [(a, 1), (b, 1), (a, -1), (b, -1)]
+        gens += connectors
 
         if p.has_mirrors:
             if p.cones:
@@ -315,35 +293,20 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
                     f"piece {p.id}: presentations of mirrored pieces with cones "
                     "are not supported"
                 )
-            if fully_attached:
-                rel = _free_reduce(circle_words[0])
-                if rel:
-                    relators.append(rel)
+            if attached == free:
+                relators.append(_free_reduce(boundary))
             continue
         # the boundary relation identifies the glued boundary loops with the
         # cone/handle product; it only exists when every circle is glued
         # (a detached disk orbifold is a free product of its cone groups)
-        if not fully_attached:
-            if any(c.attachments.get((p.id, ci2, si2)) is not None
-                   for ci2, si2, _k in p.segments()):
+        if attached < free:
+            if attached:
                 raise Disconnected(
                     f"piece {p.id}: partially attached pieces unsupported"
                 )
             continue
-        word: list[tuple[str, int]] = []
-        for ci, w in enumerate(circle_words):
-            if ci == 0:
-                word += w
-            else:
-                tname = connector.get(ci)
-                if tname is None:
-                    word += w
-                else:
-                    word += [(tname, 1)] + w + [(tname, -1)]
-        for an, bn in handle_names:
-            word += [(an, 1), (bn, 1), (an, -1), (bn, -1)]
-        word += reverse_walk([(x, 1) for x in cone_names])
-        relators.append(_free_reduce(word))
+        boundary += handles + [(f"x[{p.id}:{j}]", -1) for j in reversed(range(len(p.cones)))]
+        relators.append(_free_reduce(boundary))
 
     relators = [r for r in relators if r]
     return GroupPresentation(tuple(gens), tuple(relators))

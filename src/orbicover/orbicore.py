@@ -378,10 +378,12 @@ def euler_characteristic(c: Orbicomplex) -> Fraction:
     Gluing a segment adds +4 and turns each junction beside it into -4: 0 in
     all, less 2 per side whose neighbour is a free unattached segment."""
     quarters = sum(4 // local_order(m) for m in c.graph.marks.values()) - 4 * len(c.graph.edges)
-    for pid, ci, si in c.attachments:
-        circle = c.pieces_by_id[pid].boundary[ci]
-        for sj in ((si - 1) % len(circle), (si + 1) % len(circle)):
-            if circle[sj] == FREE and (pid, ci, sj) not in c.attachments:
+    attachments, pieces_by_id = c.attachments, c.pieces_by_id
+    for pid, ci, si in attachments:
+        circle = pieces_by_id[pid].boundary[ci]
+        t = len(circle)
+        for sj in ((si - 1) % t, (si + 1) % t):
+            if circle[sj] == FREE and (pid, ci, sj) not in attachments:
                 quarters -= 2
     shapes = Counter((p.genus, p.boundary, p.cones) for p in c.pieces)
     pieces = (n * piece_orbifold_euler(Piece("", *shape)) for shape, n in shapes.items())

@@ -269,7 +269,8 @@ def _preimage(tok: list) -> tuple:
     kind, pid, tag = tok
     if kind not in ("cone", "smooth"):
         raise SchemaError(f"unknown cone preimage kind {kind!r}")
-    return (kind, _str(pid, "piece id"), _int(tag, "cone preimage") if kind == "cone" else tag)
+    tag = _int(tag, "cone preimage") if kind == "cone" else _str(tag, "smooth tag")
+    return (kind, _str(pid, "piece id"), tag)
 
 
 def covering_map_from_json(data: dict) -> CoveringMap:

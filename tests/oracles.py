@@ -3,7 +3,8 @@
 Deliberately reimplemented from first principles: a full weighted cell
 decomposition for Euler characteristics, determinantal divisors for Smith
 normal form, all-permutations search for marked graph and normal form
-isomorphism, and all-subsets clique removal for one-endedness.
+isomorphism, all-subsets clique removal for one-endedness, and index-2
+Reidemeister-Schreier rewriting for H_1 of a double cover.
 """
 
 from __future__ import annotations
@@ -13,8 +14,14 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from orbicover.coxeter import DefiningGraph
-from orbicover.invariants import NormalForm
+from orbicover.covers import TwoTorsionLabeling
+from orbicover.coxeter import DefiningGraph, GroupPresentation
+from orbicover.invariants import (
+    AbelianInvariants,
+    NormalForm,
+    abelianization,
+    fundamental_group_presentation,
+)
 from orbicover.orbicore import (
     FREE,
     MIRROR,
@@ -404,3 +411,51 @@ def random_branched_graph(rng: random.Random) -> DefiningGraph:
             path = [a, *inner, z]
             edges += zip(path, path[1:])
     return DefiningGraph.from_edges(vertices, edges)
+
+
+def _labeling_value(phi: TwoTorsionLabeling, generator: str) -> int:
+    """phi of one generator of ``fundamental_group_presentation``: edges off
+    the spanning forest, walls, mirror segments and cones.  The pieces a
+    double cover accepts have no handle or connector generators."""
+    kind, inner = generator[0], generator[2:-1]
+    if kind == "e":
+        return phi.edge(inner)
+    if kind == "w":
+        return phi.wall(inner)
+    if kind == "s":
+        pid, ci, si = inner.rsplit(":", 2)
+        return phi.mirror((pid, int(ci), int(si)))
+    if kind == "x":
+        pid, j = inner.rsplit(":", 1)
+        return phi.cone(pid, int(j))
+    raise AssertionError(f"phi has no value on {generator}")
+
+
+def reidemeister_schreier_h1(base: Orbicomplex, phi: TwoTorsionLabeling) -> AbelianInvariants:
+    """H_1 of the kernel of phi: pi_1(base) -> Z/2, which is pi_1 of
+    ``double_cover(base, phi)``, by rewriting the base presentation over the
+    two cosets (Magnus, Karrass and Solitar, Combinatorial Group Theory,
+    section 2.3).  The Schreier generator ``g@k`` is g read from coset k;
+    each base relator is rewritten from both cosets, and must come back to
+    the coset it starts from, which checks that phi is a homomorphism.  The
+    transversal is {1, u} for the first generator u with phi(u) = 1, so
+    ``u@0`` is trivial."""
+    pres = fundamental_group_presentation(base)
+    value = {g: _labeling_value(phi, g) for g in pres.generators}
+    relators = []
+    for rel in pres.relators:
+        for start in (0, 1):
+            coset, word = start, []
+            for g, e in rel:
+                assert e in (1, -1), rel
+                if e == -1:
+                    coset ^= value[g]  # g^-1 is read on the edge into coset
+                word.append((f"{g}@{coset}", e))
+                if e == 1:
+                    coset ^= value[g]
+            assert coset == start, f"{rel} leaves coset {start}: phi is not a homomorphism"
+            relators.append(tuple(word))
+    u = next(g for g in pres.generators if value[g])
+    relators.append(((f"{u}@0", 1),))
+    gens = tuple(f"{g}@{k}" for g in pres.generators for k in (0, 1))
+    return abelianization(GroupPresentation(gens, tuple(relators)))

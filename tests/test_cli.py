@@ -230,6 +230,30 @@ def test_cmd_pi1_ab(demo_graph_file, tmp_path, capsys):
     assert out.count("Z/2") == 25
 
 
+@pytest.mark.parametrize("name", ["base", "y"])
+def test_cmd_pi1_matches_golden(chain, tmp_path, capsys, name):
+    # the generator and relator names and their order are output contract
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize.dumps(orbicomplex_to_json(getattr(chain, name))))
+    assert run_cli("pi1", str(path)) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"pi1_{name}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [(["pi1", "input.json", "--json"], "--json needs --ab"),
+     (["paper-demo", "--timings"], "--timings needs --json")],
+    ids=["pi1-json", "paper-demo-timings"],
+)
+def test_flag_refused_without_the_flag_it_needs(argv, needed, capsys):
+    # each used to print the same bytes as without the flag
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(needed) and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["racg", "g"], ["pi1", "c"], ["verify", "f"], ["covers", "c"], ["compare", "a", "b"], ["paper-demo"]],
@@ -400,6 +424,13 @@ def _first_cone_token_misspelt(data):
     data["cone_fibers"][0]["preimages"][0][0] = "cnoe"
 
 
+def _first_smooth_tag(value):
+    def mutate(data):
+        tok = next(tok for entry in data["cone_fibers"] for tok in entry["preimages"] if tok[0] == "smooth")
+        tok[2] = value
+    return mutate
+
+
 _MALFORMED_MAPS = {
     "piece-map-number": (lambda d: d["piece_map"].update({next(iter(d["piece_map"])): 5}),
                          "expected a list"),
@@ -410,6 +441,11 @@ _MALFORMED_MAPS = {
     "repeated-cone-fibers": (lambda d: d["cone_fibers"].append(d["cone_fibers"][0]),
                              "repeated cone_fibers entry"),
     "unknown-token-kind": (_first_cone_token_misspelt, "unknown cone preimage kind 'cnoe'"),
+    # a smooth token's tag used to pass through unread, and compose formats
+    # it into new tags
+    "smooth-tag-int": (_first_smooth_tag(0), "smooth tag: expected a string, got 0"),
+    "smooth-tag-list": (_first_smooth_tag([0, 1, 1]), "smooth tag: expected a string"),
+    "smooth-tag-object": (_first_smooth_tag({"a": 1}), "smooth tag: expected a string"),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbicover import invariants
+from orbicover.covers import all_ones_labeling
 from orbicover.coxeter import DefiningGraph, GroupPresentation, racg_presentation
 from orbicover.invariants import (
     AbelianInvariants,
@@ -30,6 +31,7 @@ from orbicover.orbicore import (
 from oracles import (
     brute_force_normal_form_iso,
     random_normal_form,
+    reidemeister_schreier_h1,
     relabeled_normal_form,
     snf_determinantal,
 )
@@ -266,6 +268,34 @@ def test_presentation_disconnected_rejected():
     )
     with pytest.raises(Disconnected):
         fundamental_group_presentation(c)
+
+
+def test_presentation_disconnected_before_partial_attachment():
+    # piece "a" is partially attached and piece "b" floats free: the
+    # component count is reported before any per-piece refusal
+    g = MarkedGraph()
+    g.marks["v"] = None
+    g.edges["e"] = ("v", "v")
+    c = Orbicomplex(
+        pieces=[disk_with_cones("a", 1, n_segments=2), disk_with_cones("b", 1)],
+        graph=g,
+        attachments={("a", 0, 0): ("e", 1)},
+    )
+    with pytest.raises(Disconnected, match=r"^2 components$"):
+        fundamental_group_presentation(c)
+    with pytest.raises(Disconnected, match="partially attached"):
+        fundamental_group_presentation(replace(c, pieces=c.pieces[:1]))
+
+
+def test_reidemeister_schreier_h1_of_tower_double_covers(chain):
+    # H_1 of each double cover of the tower, presented directly and
+    # rewritten from its base's presentation over the two cosets
+    covered = [(chain.base, all_ones_labeling(chain.base), chain.cover1)]
+    covered += [(chain.cover1, phi, cx) for phi, cx, _f in chain.family1]
+    covered += [(chain.cover2, phi, cx) for phi, cx, _f in chain.family2]
+    for base, phi, cover in covered:
+        h1 = abelianization(fundamental_group_presentation(cover))
+        assert reidemeister_schreier_h1(base, phi) == h1
 
 
 def test_presentation_size_matches_euler_for_torsion_free(chain):

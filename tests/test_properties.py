@@ -16,7 +16,7 @@ from orbicover import covers, coxeter, invariants, serialize
 from orbicover.invariants import AbelianInvariants
 from orbicover.orbicore import euler_characteristic
 
-from oracles import random_branched_graph
+from oracles import random_branched_graph, reidemeister_schreier_h1
 
 
 def _h1(c):
@@ -48,3 +48,15 @@ def test_davis_tower_of_a_generated_graph(seed):
         assert _round_trips(serialize.orbicomplex_to_json, serialize.orbicomplex_from_json, c)
     for fm in maps[:3]:
         assert _round_trips(serialize.covering_map_to_json, serialize.covering_map_from_json, fm)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reidemeister_schreier_h1_of_generated_double_covers(seed):
+    # H_1 of the Davis cover and of each enumerated cover over it, presented
+    # directly and rewritten from the base's presentation over two cosets
+    base = coxeter.davis_orbicomplex(random_branched_graph(random.Random(seed)))
+    cover, _f = covers.davis_double_cover(base)
+    covered = [(base, covers.all_ones_labeling(base), cover)]
+    covered += [(cover, phi, cx) for phi, cx, _fm in covers.enumerate_double_covers(cover)]
+    for b, phi, x in covered:
+        assert reidemeister_schreier_h1(b, phi) == _h1(x)
