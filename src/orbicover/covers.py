@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .orbicore import (
     FREE,
@@ -471,6 +471,19 @@ def _require_polygon(p: Piece) -> int:
     return n
 
 
+def _polygon_lift(n: int, glued: Sequence[int]) -> list[tuple[int, int]]:
+    """The one boundary circle of two sheets of the polygon [free, mirror^n,
+    free] glued along the run of mirrors glued[0]..glued[-1], as (segment,
+    sheet) pairs; sheet 1 is traversed backwards."""
+    a, b = glued[0], glued[-1]
+    return (
+        [(si, 0) for si in range(a)]
+        + [(si, 1) for si in range(a - 1, -1, -1)]
+        + [(si, 1) for si in range(n + 1, b, -1)]
+        + [(si, 0) for si in range(b + 1, n + 2)]
+    )
+
+
 def reflection_double(p: Piece) -> tuple[Piece, CoveringMap]:
     """Unfold every mirror of a reflection polygon: the disk with n-1
     order-2 cone points double-covers the polygon with n mirror segments,
@@ -479,12 +492,9 @@ def reflection_double(p: Piece) -> tuple[Piece, CoveringMap]:
     target = Orbicomplex(pieces=(p,))
     cover_piece = disk_with_cones(f"{p.id}.d", n - 1, n_segments=4)
     source = Orbicomplex(pieces=(cover_piece,))
-    t_last = n + 1  # index of the second free segment downstairs
     segmap: dict[SegRef, list[Step]] = {
-        (cover_piece.id, 0, 0): [(0, 0, 1)],
-        (cover_piece.id, 0, 1): [(0, 0, -1)],
-        (cover_piece.id, 0, 2): [(0, t_last, -1)],
-        (cover_piece.id, 0, 3): [(0, t_last, 1)],
+        (cover_piece.id, 0, i): [(0, si, 1 - 2 * sheet)]
+        for i, (si, sheet) in enumerate(_polygon_lift(n, range(1, n + 1)))
     }
     f = CoveringMap(
         source=source,
@@ -577,35 +587,25 @@ class TwoTorsionLabeling:
         )
 
 
-def _sheet_offsets(c: Orbicomplex, phi: TwoTorsionLabeling, p: Piece, ci: int) -> list[int]:
-    """The sheet offset of each junction of circle ci relative to junction 0,
-    and last, back at junction 0, the parity of the circle's edge word."""
+def _sheet_offsets(c: Orbicomplex, phi: TwoTorsionLabeling, p: Piece) -> list[int]:
+    """The sheet offset of each junction of the piece's one circle relative
+    to junction 0, and last, back at junction 0, the parity of its edge word."""
     h = [0]
-    for si, kind in enumerate(p.boundary[ci]):
-        att = c.attachments.get((p.id, ci, si)) if kind == FREE else None
+    for si, kind in enumerate(p.boundary[0]):
+        att = c.attachments.get((p.id, 0, si)) if kind == FREE else None
         h.append(h[-1] ^ (0 if att is None else phi.edge(att[0])))
     return h
 
 
 def _mirror_wall_pairs(c: Orbicomplex, p: Piece) -> list[tuple[SegRef, str]]:
-    """(mirror segment, wall label) at each attached mirror|free junction."""
-    out = []
-    for ci, circle in enumerate(p.boundary):
-        t = len(circle)
-        for si, kind in enumerate(circle):
-            if kind != MIRROR:
-                continue
-            for nb in ((si - 1) % t, (si + 1) % t):
-                if circle[nb] != FREE:
-                    continue
-                ends = c.seg_endpoints((p.id, ci, nb))
-                if ends is None:
-                    continue
-                junction_vertex = ends[1] if nb == (si - 1) % t else ends[0]
-                mark = c.graph.marks.get(junction_vertex)
-                if is_wall(mark):
-                    out.append(((p.id, ci, si), mark[1]))
-    return out
+    """(mirror segment, wall label) at the two mirror|free junctions of a
+    fully attached polygon [free, mirror^n, free]: where segment 0 ends and
+    where segment n+1 starts.  Validation put both on walls."""
+    n = len(p.boundary[0]) - 2
+    first = c.seg_endpoints((p.id, 0, 0))[1]
+    last = c.seg_endpoints((p.id, 0, n + 1))[0]
+    marks = c.graph.marks
+    return [((p.id, 0, 1), marks[first][1]), ((p.id, 0, n), marks[last][1])]
 
 
 def _fully_attached(c: Orbicomplex, p: Piece) -> bool:
@@ -614,15 +614,6 @@ def _fully_attached(c: Orbicomplex, p: Piece) -> bool:
         for ci, si, kind in p.segments()
         if kind == FREE
     )
-
-
-def _glued_mirrors(p: Piece, phi: TwoTorsionLabeling) -> set[int]:
-    """The mirror segments of a polygon along which its two sheets glue."""
-    return {
-        si
-        for si, kind in enumerate(p.boundary[0])
-        if kind == MIRROR and phi.mirror((p.id, 0, si)) == 1
-    }
 
 
 def all_ones_labeling(davis: Orbicomplex) -> TwoTorsionLabeling:
@@ -647,34 +638,6 @@ def _lift_vertex_names(c: Orbicomplex, phi: TwoTorsionLabeling) -> dict[tuple[st
             names[(v, 0)] = f"{v}.0"
             names[(v, 1)] = f"{v}.1"
     return names
-
-
-def _trace_polygon(circle: tuple[str, ...], glued: set[int]) -> list[list[tuple[int, int]]]:
-    """Boundary circles of two polygon sheets glued along ``glued`` mirror
-    segments, as lists of (segment index, sheet); sheet-1 stretches are
-    traversed in reverse.  Only circles through a free segment are traced:
-    ``double_cover`` refuses a labeling whose traces miss a segment."""
-    t = len(circle)
-    frees = [k for k in range(t) if circle[k] == FREE]
-    starts = [(k, s) for k in frees for s in (0, 1)]
-    emitted: set[tuple[int, int]] = set()
-    traces = []
-    for start in starts:
-        if start in emitted:
-            continue
-        walk = []
-        state = start
-        while True:
-            walk.append(state)
-            emitted.add(state)
-            k, s = state
-            step = 1 if s == 0 else -1
-            k2 = (k + step) % t
-            state = (k, 1 - s) if k2 in glued else (k2, s)
-            if state == start:
-                break
-        traces.append(walk)
-    return traces
 
 
 def _smoothed_walls(c: Orbicomplex, phi: TwoTorsionLabeling) -> dict[str, str]:
@@ -730,7 +693,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     Pieces must be reflection polygons or cone disks.  A piece whose
     boundary parity and cone/mirror values all vanish lifts to two disjoint
     copies; otherwise it lifts connectedly, with phi=0 cones duplicated,
-    phi=1 cones smoothed, and mirrors glued across the sheets where phi=1.
+    phi=1 cones smoothed, and mirrors glued across the sheets where phi=1;
+    a polygon's glued mirrors must be one run, and its lift is one disk.
     An unfolded wall with one edge downstairs lifts to no vertex: the two
     lifts of its edge form one edge ``c.<wall>``, which maps to a folded
     path of length two, and the piece segments that meet there merge.
@@ -810,7 +774,7 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     for p in c.pieces:
         circle = p.boundary[0]
         t = len(circle)
-        h = _sheet_offsets(c, phi, p, 0)
+        h = _sheet_offsets(c, phi, p)
 
         def lift(si: int, sheet: int, direction: int) -> Segment:
             """Segment si on ``sheet``, traversed in ``direction``."""
@@ -833,10 +797,9 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             for ref, label in _mirror_wall_pairs(c, p):
                 if phi.mirror(ref) != phi.wall(label):
                     problems.append(f"mirror {ref} disagrees with wall {label!r}")
-            glued = _glued_mirrors(p, phi)
-            traces = _trace_polygon(circle, glued)
-            # every lifted segment must lie on a lifted circle through a free one
-            if sum(map(len, traces)) < 2 * (t - len(glued)):
+            glued = [si for si in range(1, t - 1) if phi.mirror((p.id, 0, si)) == 1]
+            if glued and glued[-1] - glued[0] >= len(glued):
+                # not one run: the mirrors between two runs lift to a circle of their own
                 problems.append(f"polygon {p.id}: glued mirrors leave a lift of mirrors only")
             if h[-1] != 0:
                 problems.append(f"polygon {p.id}: boundary edge word has parity 1")
@@ -845,26 +808,15 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             if not glued:
                 lift_to_two_copies()
                 continue
-            circles = []
-            for trace in traces:
-                segments = [lift(si, s, 1 if s == 0 else -1) for si, s in trace]
-                # a glued mirror is crossed on both sheets in a row: one segment
-                circ: list[Segment] = []
-                idx = 0
-                while idx < len(trace):
-                    seg = segments[idx]
-                    if (
-                        seg[0] == MIRROR
-                        and idx + 1 < len(trace)
-                        and trace[idx + 1][0] == trace[idx][0]
-                    ):
-                        seg = (MIRROR, seg[1] + segments[idx + 1][1], None)
-                        idx += 1
-                    circ.append(seg)
-                    idx += 1
-                circles.append(circ)
-            n_cones = sum(1 for si in glued if (si + 1) % t in glued)
-            cover = install(f"{p.id}.01", p, 0, circles, (2,) * n_cones, 2)
+            circ: list[Segment] = []
+            for si, sheet in _polygon_lift(t - 2, glued):
+                kind, steps, att = lift(si, sheet, 1 - 2 * sheet)
+                if kind == MIRROR and circ and circ[-1][1][0][1] == si:
+                    # the mirror beside an end of the run, crossed on both sheets in a row
+                    circ[-1] = (MIRROR, circ[-1][1] + steps, None)
+                else:
+                    circ.append((kind, steps, att))
+            cover = install(f"{p.id}.01", p, 0, [circ], (2,) * (len(glued) - 1), 2)
             # genus bookkeeping: two disks glued along arcs stay planar
             assert piece_orbifold_euler(cover) == 2 * piece_orbifold_euler(p), p.id
         else:
@@ -978,7 +930,7 @@ def enumerate_double_covers(
             continue
         phi = TwoTorsionLabeling(edges=dict(zip(free_edges, bits)))
         for p in c.pieces:
-            if _sheet_offsets(c, phi, p, 0)[-1] == 1:
+            if _sheet_offsets(c, phi, p)[-1] == 1:
                 phi.cones[(p.id, 0)] = 1
         cover, f = double_cover(c, phi)
         out.append((phi, cover, f))

@@ -180,7 +180,7 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
     trivial so the presentation spans all graph components, which keeps the
     presentation complex Euler-equivalent to the orbicomplex.
     """
-    forest = c.graph.spanning_forest()
+    comps, forest = c.graph._search()
     attachments = c.attachments
     pieces = sorted(c.pieces, key=lambda q: q.id)
 
@@ -204,7 +204,6 @@ def fundamental_group_presentation(c: Orbicomplex) -> GroupPresentation:
 
     # connectivity: each circle joins its piece to the graph component of
     # its first attached segment; a later circle that merges is a tree connector
-    comps = c.graph.components()
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     parent = list(range(len(comps) + len(pieces)))
 

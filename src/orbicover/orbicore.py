@@ -683,7 +683,7 @@ def rotation_from_circuits(
     usage: dict[str, list[tuple[int, int, int]]] = {e: [] for e in g.edges}
     for idx, walk in enumerate(circuits):
         for pos, (e, d) in enumerate(walk):
-            if e not in usage:
+            if e not in usage or d not in (1, -1):
                 return None
             usage[e].append((idx, pos, d))
     if any(len(u) != 2 for u in usage.values()):
@@ -722,13 +722,10 @@ def rotation_from_circuits(
     for idx in range(len(circuits)):
         ds = darts_of(idx)
         for i, d in enumerate(ds):
-            if d in succ:
-                return None
             succ[d] = ds[(i + 1) % len(ds)]
-    if len(succ) != 2 * len(g.edges):
-        return None
 
-    # succ now holds every dart of g exactly once
+    # each edge's two uses now run in opposite directions, so succ holds
+    # every dart of g exactly once
     rotation: dict[str, list[tuple[str, int]]] = {}
     assigned: set[tuple[str, int]] = set()
     for v, v_darts in g.darts_by_vertex().items():

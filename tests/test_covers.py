@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from functools import partial
@@ -8,6 +9,7 @@ import pytest
 from orbicover import covers, orbicore
 from orbicover.covers import (
     BadGenus,
+    CoveringMap,
     MirrorsPresent,
     NotADiskOrbifold,
     NotAPolygon,
@@ -342,10 +344,11 @@ def test_precondition_is_checked_before_the_relators(chain):
 
 
 def test_double_cover_visits_each_piece_once(chain, monkeypatch):
-    # sheet offsets, glued mirrors and polygon traces are computed once per
-    # piece per double_cover call: no separate pass checks the labeling
+    # sheet offsets are computed once per piece and the mirror|wall pairs
+    # once per polygon per double_cover call: no separate pass checks the
+    # labeling
     calls = []
-    for name in ("_sheet_offsets", "_glued_mirrors", "_trace_polygon"):
+    for name in ("_sheet_offsets", "_mirror_wall_pairs"):
         def counted(*args, _name=name, _inner=getattr(covers, name)):
             calls.append(_name)
             return _inner(*args)
@@ -357,12 +360,12 @@ def test_double_cover_visits_each_piece_once(chain, monkeypatch):
         out = inner_double_cover(c, phi)
         polygons = sum(p.has_mirrors for p in c.pieces)
         assert calls.count("_sheet_offsets") == len(c.pieces)
-        assert calls.count("_glued_mirrors") == calls.count("_trace_polygon") == polygons
+        assert calls.count("_mirror_wall_pairs") == polygons
         return out
 
     monkeypatch.setattr(covers, "double_cover", checked_double_cover)
     covers.davis_double_cover(chain.base)
-    assert len(calls) == 3 * len(chain.base.pieces)
+    assert len(calls) == 2 * len(chain.base.pieces)
     assert len(covers.enumerate_double_covers(chain.cover1)) == len(chain.family1)
 
 
@@ -446,6 +449,32 @@ def test_adjacent_mirror_unfolding_creates_cone(chain):
     _assert_wall_lifts_not_bivalent(f)
     glued = [p for p in cover.pieces if p.id.endswith(".01")][0]
     assert glued.cones == (2,)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_polygon_lift_rule(chain, index):
+    # every nonempty set G of interior mirrors of one demo polygon, walls
+    # folded: G not one run leaves a circle of mirrors only and is refused;
+    # one run lifts to one disk with |G| - 1 cones and one circle on which
+    # the two mirrors beside the run merge across the sheets
+    p = chain.base.pieces[index]
+    n = len(p.boundary[0]) - 2
+    chi = euler_characteristic(chain.base)
+    for r in range(1, n - 1):
+        for glued in itertools.combinations(range(2, n), r):
+            phi = TwoTorsionLabeling(mirrors={(p.id, 0, si): 1 for si in glued})
+            if glued != tuple(range(glued[0], glued[-1] + 1)):
+                with pytest.raises(NotAHomomorphism) as exc:
+                    double_cover(chain.base, phi)
+                assert str(exc.value) == f"polygon {p.id}: glued mirrors leave a lift of mirrors only"
+                continue
+            cover, f = double_cover(chain.base, phi)
+            lift = cover.piece(f"{p.id}.01")
+            assert lift.cones == (2,) * (len(glued) - 1), glued
+            assert len(lift.boundary) == 1
+            assert len(lift.boundary[0]) == 2 * (n + 2 - len(glued)) - 2, glued
+            assert verify_covering(f).passed, glued
+            assert euler_characteristic(cover) == 2 * chi
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +733,115 @@ def test_verifier_witness_text(chain):
     # the conditions are listed
     for name, mutant, expected in _witness_mutants(chain):
         assert str(verify_covering(mutant)) == expected, name
+
+
+def _mutated(make_complex, **fields):
+    """The identity covering of ``make_complex()`` with some fields replaced."""
+    return replace(identity_covering(make_complex()), **fields)
+
+
+def _half_attached_disk():
+    # a disk of two segments, only the first attached along a loop
+    g = MarkedGraph(marks={"v": None}, edges={"e": ("v", "v")})
+    return Orbicomplex(
+        pieces=[disk_with_cones("d", 0, n_segments=2)], graph=g, attachments={("d", 0, 0): ("e", 1)}
+    )
+
+
+def _circle_over_two_circles():
+    # an annulus whose two-segment circle 0 maps its second segment to circle 1
+    f = identity_covering(Orbicomplex(pieces=[Piece("p", 0, ((FREE, FREE), (FREE,)))]))
+    return replace(f, segment_map={**f.segment_map, ("p", 0, 1): [(1, 0, 1)]})
+
+
+def _cones_of_order_two_and_three():
+    return Orbicomplex(pieces=[Piece("a", 0, ((FREE,),), (2,)), Piece("b", 0, ((FREE,),), (3,))])
+
+
+def _wall_over_plain_point():
+    return CoveringMap(
+        source=Orbicomplex(graph=MarkedGraph(marks={"a": wall_mark("w")})),
+        target=Orbicomplex(graph=MarkedGraph(marks={"b": None})),
+        degree=1,
+        vertex_map={"a": "b"},
+    )
+
+
+def _two_edges_over_one():
+    src = MarkedGraph(
+        marks={"a": None, "b1": None, "b2": None}, edges={"s1": ("a", "b1"), "s2": ("a", "b2")}
+    )
+    tgt = MarkedGraph(marks={"w": None, "x": None}, edges={"t": ("w", "x")})
+    return CoveringMap(
+        source=Orbicomplex(graph=src),
+        target=Orbicomplex(graph=tgt),
+        degree=2,
+        vertex_map={"a": "w", "b1": "x", "b2": "x"},
+        edge_map={"s1": [("t", 1)], "s2": [("t", 1)]},
+    )
+
+
+def _free_over_mirror():
+    piece, f = reflection_double(make_polygon(3))
+    return replace(f, segment_map={**f.segment_map, (piece.id, 0, 0): [(0, 1, 1)]})
+
+
+_loop = partial(loop_complex, 2)  # one disk "d" with two cones on the loop e at v
+_loop_cones = {("d", 0): [("cone", "d", 0)], ("d", 1): [("cone", "d", 1)]}
+
+
+@pytest.mark.parametrize("make, condition, witness", [
+    # a condition of None: verify_covering raises MismatchedComplexes
+    pytest.param(partial(_mutated, _loop, vertex_map={"v": "v", "u": "v"}),
+                 None, "vertex_map 'u' -> 'v'", id="vertex-map-reference"),
+    pytest.param(partial(_mutated, _loop, edge_map={"e": [("e", 1)], "x": [("e", 1)]}),
+                 None, "edge_map key 'x'", id="edge-map-key"),
+    pytest.param(partial(_mutated, _loop, edge_map={"e": [("x", 1)]}),
+                 None, "edge_map 'e' -> 'x'", id="edge-map-image"),
+    pytest.param(partial(_mutated, _loop, vertex_map={}),
+                 "graph_covering", "vertex v has no image", id="vertex-no-image"),
+    pytest.param(partial(_mutated, _loop, edge_map={}),
+                 "graph_covering", "edge e has no image path", id="edge-no-image"),
+    pytest.param(partial(_mutated, _loop, edge_map={"e": []}),
+                 "graph_covering", "edge e: empty image path", id="edge-empty-path"),
+    pytest.param(_wall_over_plain_point, "graph_covering",
+                 "('v', 'a'): local order 2 does not divide target order 1", id="local-order"),
+    pytest.param(_two_edges_over_one, "graph_covering", "('v', 'a'): star size 2 != 1", id="star-size"),
+    pytest.param(_two_edges_over_one, "graph_covering", "vertex w: fiber sum 1 != degree 2",
+                 id="vertex-fiber-sum"),
+    pytest.param(_free_over_mirror, "boundary", "segment ('v0.v1.v2.d', 0, 0): kind free over mirror",
+                 id="kind-over"),
+    pytest.param(partial(_mutated, _half_attached_disk,
+                         segment_map={("d", 0, 0): [(0, 1, 1)], ("d", 0, 1): [(0, 1, 1)]}),
+                 "boundary", "segment ('d', 0, 0): attached over unattached target segment",
+                 id="attached-over-unattached"),
+    pytest.param(partial(_mutated, _loop, edge_map={}),
+                 "boundary", "segment ('d', 0, 0): attachment edge e unmapped", id="attachment-unmapped"),
+    pytest.param(_circle_over_two_circles, "boundary", "piece p circle 0: image spans circles [0, 1]",
+                 id="spans-circles"),
+    pytest.param(partial(_mutated, _loop, piece_map={}),
+                 "fiber_sums", "piece d: no image", id="piece-no-image"),
+    pytest.param(partial(_mutated, _loop, piece_map={"d": ("d", 0)}),
+                 "fiber_sums", "piece d: local degree 0", id="piece-local-degree"),
+    pytest.param(partial(_mutated, _cones_of_order_two_and_three,
+                         cone_fibers={("a", 0): [("cone", "b", 0)], ("b", 0): [("cone", "b", 0)]}),
+                 "cone_fibers", "cone (a,0): order 3 does not divide 2", id="cone-order"),
+    pytest.param(partial(_mutated, _loop, cone_fibers={**_loop_cones, ("d", 1): [("cone", "d", 0)]}),
+                 "cone_fibers", "cone (d,1): source cone reused ('cone', 'd', 0)", id="cone-reused"),
+    pytest.param(partial(_mutated, _loop, cone_fibers={**_loop_cones, ("d", 0): [("spin", "d", 0)]}),
+                 "cone_fibers", "cone (d,0): bad token ('spin', 'd', 0)", id="cone-unknown-kind"),
+    pytest.param(partial(_mutated, _loop, cone_fibers={**_loop_cones, ("d", 0): [("smooth", "ghost", "x")]}),
+                 "cone_fibers", "cone (d,0): token from foreign piece ghost", id="cone-foreign-piece"),
+])
+def test_verifier_reaches_every_witness(make, condition, witness):
+    # one hand-made mutant per witness line that no other test produces
+    f = make()
+    if condition is None:
+        with pytest.raises(covers.MismatchedComplexes) as exc:
+            verify_covering(f)
+        assert str(exc.value) == witness
+    else:
+        assert (condition, witness) in [(c.condition, c.witness) for c in verify_covering(f).failures()]
 
 
 def test_singular_functoriality(covering_maps):

@@ -650,18 +650,42 @@ def test_rotation_from_circuits_roundtrip():
 
 def test_rotation_from_circuits_rejects_nonorientable():
     g = theta_graph()
-    circuits = [
-        [("c1", 1), ("c2", -1)],
-        [("c1", 1), ("c3", -1)],  # c1 used twice in the same direction
-        [("c2", 1), ("c3", -1)],
-    ]
-    # orientation flips rescue this pairing, so construct a genuine failure:
+    # c1 used twice in the same direction by one circuit
     bad = [
         [("c1", 1), ("c1", 1)],
         [("c2", 1), ("c3", -1)],
         [("c2", 1), ("c3", -1)],
     ]
     assert rotation_from_circuits(g, bad) is None
+
+
+def _path_graph():
+    return MarkedGraph(marks={"x": None, "y": None, "z": None}, edges={"a": ("x", "y"), "b": ("y", "z")})
+
+
+def _figure_eight():
+    return MarkedGraph(marks={"v": None}, edges={"a": ("v", "v"), "b": ("v", "v")})
+
+
+@pytest.mark.parametrize("make_graph, circuits", [
+    pytest.param(
+        theta_graph, [[("c1", 1), ("c2", -1)], [("c3", 1), ("zz", -1)], [("c2", 1), ("c3", -1)]],
+        id="edge-not-in-graph",
+    ),
+    pytest.param(
+        theta_graph, [[("c1", 1), ("c2", -1)], [("c3", 1), ("c1", -2)], [("c2", 1), ("c3", -1)]],
+        id="direction-not-unit",
+    ),
+    # a is used in the same direction by both circuits and b in opposite
+    # ones, so the circuits must be flipped relative to each other and not
+    pytest.param(_figure_eight, [[("a", 1), ("b", 1)], [("a", 1), ("b", -1)]], id="orientation-conflict"),
+    # a walk x -> y -> z and its reverse: after a at x the face turns at z
+    pytest.param(_path_graph, [[("a", 1), ("b", 1)], [("b", -1), ("a", -1)]], id="walk-not-continuous"),
+    # each loop side its own face: the darts at v form two cycles of two
+    pytest.param(_figure_eight, [[("a", 1)], [("a", -1)], [("b", 1)], [("b", -1)]], id="vertex-split"),
+])
+def test_rotation_from_circuits_refusals(make_graph, circuits):
+    assert rotation_from_circuits(make_graph(), circuits) is None
 
 
 # ---------------------------------------------------------------------------
