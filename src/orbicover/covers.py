@@ -220,13 +220,11 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
             out.append(f"{key}: local order {order} does not divide target order {tgt_order}")
             continue
         local_degree = tgt_order // order
-        w_darts = tgt_darts[w]
-        for d in w_darts:
-            hits = star.count(d)
-            if hits != local_degree:
-                out.append(f"{key}: target dart {d} covered {hits} times, expected {local_degree}")
-        if len(star) != local_degree * len(w_darts):
-            out.append(f"{key}: star size {len(star)} != {local_degree * len(w_darts)}")
+        # every dart of the star leaves w, so these counts fix the star's size
+        hits = Counter(star)
+        for d in tgt_darts[w]:
+            if hits[d] != local_degree:
+                out.append(f"{key}: target dart {d} covered {hits[d]} times, expected {local_degree}")
 
     for w, fiber in fibers.items():
         total = sum(Fraction(local_order(tgt.marks[w]), order) for order in fiber)
@@ -516,35 +514,43 @@ def _require_cone_disk(p: Piece) -> int:
     return len(p.cones)
 
 
+def _cone_disk_double(
+    base: Piece, pid: str, smoothed: Sequence[int]
+) -> tuple[int, tuple[int, ...], dict[tuple[str, int], list[tuple]]]:
+    """The connected double ``pid`` of a disk with order-2 cones, branched at
+    the cones j with smoothed[j] = 1 (Riemann-Hurwitz): its genus, its cones
+    and the cone fibres.  Each other cone lifts to the next two cones in
+    order; the boundary lifts to one circle of two laps when an odd number
+    of cones is smoothed, else to two circles."""
+    k1 = sum(smoothed)
+    fibers: dict[tuple[str, int], list[tuple]] = {}
+    new_cone = 0
+    for j, val in enumerate(smoothed):
+        if val:
+            fibers[(base.id, j)] = [("smooth", pid, f"c{j}")]
+        else:
+            fibers[(base.id, j)] = [("cone", pid, new_cone), ("cone", pid, new_cone + 1)]
+            new_cone += 2
+    return (k1 - 2 + k1 % 2) // 2, (2,) * new_cone, fibers
+
+
 def rotation_double(p: Piece) -> tuple[Piece, CoveringMap]:
     """Rotate a disk orbifold with m+1 order-2 cones by a half turn: the
     disk with 2m cones double-covers it, the fixed point descending to one
     cone (single smooth preimage), every other cone lifting twice."""
     k = _require_cone_disk(p)
-    m = k - 1
-    if m < 1:
+    if k < 2:
         raise NotADiskOrbifold(f"piece {p.id}: needs at least 2 cones")
     t = len(p.boundary[0])
-    target = Orbicomplex(pieces=(p,))
-    cover_piece = disk_with_cones(f"{p.id}.r", 2 * m, n_segments=2 * t)
-    source = Orbicomplex(pieces=(cover_piece,))
-    segmap = {
-        (cover_piece.id, 0, j): [(0, j % t, 1)] for j in range(2 * t)
-    }
-    fibers: dict[tuple[str, int], list[tuple]] = {
-        (p.id, 0): [("smooth", cover_piece.id, "fix")]
-    }
-    for j in range(1, k):
-        fibers[(p.id, j)] = [
-            ("cone", cover_piece.id, 2 * (j - 1)),
-            ("cone", cover_piece.id, 2 * (j - 1) + 1),
-        ]
+    pid = f"{p.id}.r"
+    genus, cones, fibers = _cone_disk_double(p, pid, [1] + [0] * (k - 1))
+    cover_piece = Piece(pid, genus, ((FREE,) * (2 * t),), cones)
     f = CoveringMap(
-        source=source,
-        target=target,
+        source=Orbicomplex(pieces=(cover_piece,)),
+        target=Orbicomplex(pieces=(p,)),
         degree=2,
-        piece_map={cover_piece.id: (p.id, 2)},
-        segment_map=segmap,
+        piece_map={pid: (p.id, 2)},
+        segment_map={(pid, 0, j): [(0, j % t, 1)] for j in range(2 * t)},
         cone_fibers=fibers,
     )
     return cover_piece, f
@@ -578,13 +584,11 @@ class TwoTorsionLabeling:
     def wall(self, label: str) -> int:
         return self.walls.get(label, 0)
 
+    def values(self) -> list[int]:
+        return [*self.edges.values(), *self.cones.values(), *self.mirrors.values(), *self.walls.values()]
+
     def is_surjective(self) -> bool:
-        return any(
-            itertools.chain(
-                self.edges.values(), self.cones.values(),
-                self.mirrors.values(), self.walls.values(),
-            )
-        )
+        return any(self.values())
 
 
 def _sheet_offsets(c: Orbicomplex, phi: TwoTorsionLabeling, p: Piece) -> list[int]:
@@ -705,6 +709,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
     """
     if not phi.is_surjective():
         raise NotSurjective("labeling is identically zero")
+    if not set(phi.values()) <= {0, 1}:
+        raise NotAHomomorphism("labeling values must be 0 or 1")
     for p in c.pieces:
         if p.has_mirrors:
             _require_polygon(p)
@@ -820,11 +826,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             # genus bookkeeping: two disks glued along arcs stay planar
             assert piece_orbifold_euler(cover) == 2 * piece_orbifold_euler(p), p.id
         else:
-            k = len(p.cones)
-            cone_vals = [phi.cone(p.id, j) for j in range(k)]
-            parity, cone_parity = h[-1], 0
-            for val in cone_vals:
-                cone_parity ^= val
+            cone_vals = [phi.cone(p.id, j) for j in range(len(p.cones))]
+            parity, cone_parity = h[-1], sum(cone_vals) % 2
             if parity != cone_parity:
                 problems.append(f"piece {p.id}: boundary parity {parity} != cone parity {cone_parity}")
             if problems:
@@ -832,29 +835,12 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
             if parity == 0 and not any(cone_vals):
                 lift_to_two_copies()
                 continue
-            pid2 = f"{p.id}.01"
-            k0 = cone_vals.count(0)
-            k1 = k - k0
-            b2 = 1 if parity == 1 else 2
-            genus2, rem = divmod(k1 - b2, 2)
-            if rem or genus2 < 0:
-                raise NotAHomomorphism(
-                    f"piece {p.id}: inconsistent lift (parity {parity}, {k1} smoothed cones)"
-                )
+            genus2, cones2, fibers = _cone_disk_double(p, f"{p.id}.01", cone_vals)
             sheets = [[lift(si, s, 1) for si in range(t)] for s in (0, 1)]
             # parity 1: one circle, two laps; parity 0: one circle per sheet
             circles = [sheets[0] + sheets[1]] if parity == 1 else sheets
-            install(pid2, p, genus2, circles, (2,) * (2 * k0), 2)
-            new_cone = 0
-            for j, val in enumerate(cone_vals):
-                if val == 0:
-                    cone_fibers[(p.id, j)] = [
-                        ("cone", pid2, new_cone),
-                        ("cone", pid2, new_cone + 1),
-                    ]
-                    new_cone += 2
-                else:
-                    cone_fibers[(p.id, j)] = [("smooth", pid2, f"c{j}")]
+            install(f"{p.id}.01", p, genus2, circles, cones2, 2)
+            cone_fibers.update(fibers)
     if problems:
         raise NotAHomomorphism("; ".join(problems))
 
@@ -898,11 +884,11 @@ def derive_rotation(
     if len(attachments) != sum(len(circle) for p in pieces for circle in p.boundary):
         return None
     distinct: dict[tuple, list[tuple[str, int]]] = {}
+    # every segment is attached, so every circle has a circuit
     for p in sorted(pieces, key=lambda p: p.id):
         for ci in range(len(p.boundary)):
             walk = attachment_circuit(attachments, p, ci)
-            if walk is not None:
-                distinct.setdefault(_canonical_cycle(walk), walk)
+            distinct.setdefault(_canonical_cycle(walk), walk)
     reps = [distinct[k] for k in sorted(distinct)]
     return rotation_from_circuits(graph, reps)
 
@@ -958,7 +944,8 @@ def surface_over_disk_tower(genus: int) -> SurfaceTower:
         raise BadGenus(f"needs genus >= 1, got {genus}")
     g = genus
     disk = disk_with_cones(f"disk.g{g}", g + 3)
-    annulus = Piece(f"ann.g{g}", 0, ((FREE,), (FREE,)), (2,) * (2 * g + 2))
+    a_genus, a_cones, a_fibers = _cone_disk_double(disk, f"ann.g{g}", [0] * (g + 1) + [1, 1])
+    annulus = Piece(f"ann.g{g}", a_genus, ((FREE,), (FREE,)), a_cones)
     surface = surface_with_boundary(f"surf.g{g}", g, 4)
     disk_cx = Orbicomplex(pieces=(disk,))
     annulus_cx = Orbicomplex(pieces=(annulus,))
@@ -973,15 +960,8 @@ def surface_over_disk_tower(genus: int) -> SurfaceTower:
             (annulus.id, 0, 0): [(0, 0, 1)],
             (annulus.id, 1, 0): [(0, 0, 1)],
         },
-        cone_fibers={},
+        cone_fibers=a_fibers,
     )
-    for j in range(g + 1):
-        lower.cone_fibers[(disk.id, j)] = [
-            ("cone", annulus.id, 2 * j),
-            ("cone", annulus.id, 2 * j + 1),
-        ]
-    for j in (g + 1, g + 2):
-        lower.cone_fibers[(disk.id, j)] = [("smooth", annulus.id, f"axis{j}")]
 
     upper = CoveringMap(
         source=surface_cx,

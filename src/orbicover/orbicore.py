@@ -724,23 +724,21 @@ def rotation_from_circuits(
         for i, d in enumerate(ds):
             succ[d] = ds[(i + 1) % len(ds)]
 
-    # each edge's two uses now run in opposite directions, so succ holds
-    # every dart of g exactly once
+    # each edge's two uses now run in opposite directions, so succ is a
+    # permutation of the darts of g, and each orbit below closes before it
+    # repeats a dart
     rotation: dict[str, list[tuple[str, int]]] = {}
-    assigned: set[tuple[str, int]] = set()
     for v, v_darts in g.darts_by_vertex().items():
         if not v_darts:
             continue
         cyc = [v_darts[0]]
-        assigned.add(v_darts[0])
         while True:
             nxt = succ[reverse_dart(cyc[-1])]
             if nxt == cyc[0]:
                 break
-            if g.dart_tail(nxt) != v or nxt in assigned:
+            if g.dart_tail(nxt) != v:
                 return None
             cyc.append(nxt)
-            assigned.add(nxt)
         if len(cyc) != len(v_darts):
             return None  # rotation splits the vertex
         rotation[v] = cyc

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from orbicover import cli, coxeter, covers, invariants, orbicore, serialize
+from orbicover import cli, coxeter, covers, invariants, orbicore, pipeline, serialize
 from orbicover.serialize import (
     covering_map_from_json,
     covering_map_to_json,
@@ -114,6 +115,27 @@ def test_cmd_parse_error(tmp_path, capsys, cmd, text):
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli(cmd, str(path)) == 2
     assert "parse error:" in capsys.readouterr().err
+
+
+def test_cmd_racg_json(demo_graph_file, capsys):
+    assert run_cli("racg", demo_graph_file, "--json") == 0
+    g = coxeter.demo_defining_graph()
+    assert json.loads(capsys.readouterr().out) == {
+        "presentation": serialize.presentation_to_json(coxeter.racg_presentation(g)),
+        "branches": [list(b.path) for b in coxeter.branch_decomposition(g)],
+        "branch_error": None,
+        "one_ended": coxeter.one_endedness_check(g),
+    }
+
+
+def test_cmd_racg_json_disconnected_exits_three(tmp_path, capsys):
+    g = coxeter.DefiningGraph.from_edges(["a", "b", "c"], [("a", "b")])
+    path = tmp_path / "split.json"
+    path.write_text(serialize.dumps(defining_graph_to_json(g)))
+    assert run_cli("racg", str(path), "--json") == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["branches"] == []
+    assert out["branch_error"] == "graph is not connected"
 
 
 def test_cmd_davis_triangle_exits_three(tmp_path, capsys):
@@ -294,6 +316,46 @@ def test_cmd_pi1_json(chain, tmp_path, capsys):
         "generators": list(pres.generators),
         "relators": [[[g, e] for g, e in rel] for rel in pres.relators],
     }
+
+
+def test_cmd_pi1_ab_json(chain, tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(serialize.dumps(orbicomplex_to_json(chain.base)))
+    assert run_cli("pi1", str(path), "--ab", "--json") == 0
+    ab = invariants.abelianization(invariants.fundamental_group_presentation(chain.base))
+    assert json.loads(capsys.readouterr().out) == serialize.abelian_invariants_to_json(ab)
+
+
+def test_cmd_pi1_mirrored_piece_with_a_cone_exits_three(tmp_path, capsys):
+    piece = orbicore.Piece("p", 0, ((orbicore.FREE, orbicore.MIRROR, orbicore.FREE),), (2,))
+    path = tmp_path / "cone_polygon.json"
+    path.write_text(serialize.dumps(orbicomplex_to_json(orbicore.Orbicomplex(pieces=[piece]))))
+    assert run_cli("pi1", str(path)) == 3
+    assert capsys.readouterr().err == (
+        "precondition failed: piece p: presentations of mirrored pieces with cones are not supported\n"
+    )
+
+
+def _verify_json(f, tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(serialize.dumps(covering_map_to_json(f)))
+    code = run_cli("verify", str(path), "--json")
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cmd_verify_json(chain, tmp_path, capsys):
+    code, out = _verify_json(chain.map1, tmp_path, capsys)
+    assert code == 0
+    assert out == serialize.cover_report_to_json(covers.verify_covering(chain.map1))
+    assert out["passed"] is True and out["degree"] == 2
+
+    f2 = chain.map2
+    key = ("v1-v2-0.01", 0)
+    dropped = replace(f2, cone_fibers={**f2.cone_fibers, key: f2.cone_fibers[key][1:]})
+    code, out = _verify_json(dropped, tmp_path, capsys)
+    assert code == 4
+    assert out["passed"] is False
+    assert out == serialize.cover_report_to_json(covers.verify_covering(dropped))
 
 
 def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
@@ -489,6 +551,25 @@ def test_cmd_covers_enumeration(chain, tmp_path, capsys):
     cx_file.write_text(serialize.dumps(orbicomplex_to_json(chain.cover1)))
     assert run_cli("covers", str(cx_file)) == 0
     assert "3 connected double covers" in capsys.readouterr().out
+
+
+def test_cmd_covers_json(chain, tmp_path, capsys):
+    cx_file = tmp_path / "cover1.json"
+    cx_file.write_text(serialize.dumps(orbicomplex_to_json(chain.cover1)))
+    assert run_cli("covers", str(cx_file), "--json") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out) == 3
+    assert out == [
+        {
+            "labeling": {
+                "edges": {e: v for e, v in sorted(phi.edges.items()) if v},
+                "cones": [{"piece": p, "cone": j} for (p, j), v in sorted(phi.cones.items()) if v],
+            },
+            "euler": str(orbicore.euler_characteristic(cover)),
+            "pieces": pipeline.census_display(cover),
+        }
+        for phi, cover, _f in chain.family1
+    ]
 
 
 def test_cmd_covers_precondition(chain, tmp_path, capsys):

@@ -477,6 +477,49 @@ def test_polygon_lift_rule(chain, index):
             assert euler_characteristic(cover) == 2 * chi
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cone_disk_double_smooths_exactly_the_labeled_cones(k):
+    # every nonempty set S of smoothed cones on a disk with k order-2 cones:
+    # genus (|S| - 2 + |S| % 2) // 2, 2(k - |S|) cones, one boundary circle
+    # of two laps when |S| is odd and one per sheet otherwise
+    c = loop_complex(k)
+    base = c.pieces[0]
+    for size in range(1, k + 1):
+        for smoothed in itertools.combinations(range(k), size):
+            phi = TwoTorsionLabeling(edges={"e": size % 2}, cones={("d", j): 1 for j in smoothed})
+            cover, f = double_cover(c, phi)
+            piece = cover.pieces_by_id["d.01"]
+            assert (piece.genus, len(piece.cones), len(piece.boundary)) == (
+                (size - 2 + size % 2) // 2, 2 * (k - size), 2 - size % 2
+            )
+            assert piece_orbifold_euler(piece) == 2 * piece_orbifold_euler(base)
+            smooth = {j for (_q, j), tokens in f.cone_fibers.items() if tokens[0][0] == "smooth"}
+            assert smooth == set(smoothed)
+            assert verify_covering(f).passed
+
+
+@pytest.mark.parametrize("phi", [
+    TwoTorsionLabeling(cones={("d", 0): 2}),
+    TwoTorsionLabeling(edges={"e": 2}),  # used to raise KeyError
+], ids=["cone", "edge"])
+def test_double_cover_refuses_a_value_outside_z2(phi):
+    with pytest.raises(NotAHomomorphism, match=r"^labeling values must be 0 or 1$"):
+        double_cover(loop_complex(2), phi)
+
+
+def test_double_cover_refuses_a_half_attached_disk():
+    with pytest.raises(UnsupportedPiece, match=r"^piece d must be fully attached$"):
+        double_cover(_half_attached_disk(), TwoTorsionLabeling(edges={"e": 1}))
+
+
+def test_double_cover_refuses_an_odd_polygon_edge_word(chain):
+    phi = all_ones_labeling(chain.base)
+    phi.edges["e.v1"] = 1
+    with pytest.raises(NotAHomomorphism) as exc:
+        double_cover(chain.base, phi)
+    assert str(exc.value).startswith("polygon v1-v2-0: boundary edge word has parity 1; ")
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -562,6 +605,20 @@ def test_torsion_free_cover_rejects_mirror_polygons(chain):
 def test_torsion_free_cover_rejects_small_disks():
     with pytest.raises(UnsupportedPiece):
         torsion_free_cover(loop_complex(2))
+
+
+def test_torsion_free_cover_rejects_a_half_attached_disk():
+    g = MarkedGraph(marks={"v": None}, edges={"e": ("v", "v")})
+    c = Orbicomplex(
+        pieces=[disk_with_cones("d", 4, n_segments=2)], graph=g, attachments={("d", 0, 0): ("e", 1)}
+    )
+    with pytest.raises(UnsupportedPiece, match=r"^piece d: boundary circle not fully attached$"):
+        torsion_free_cover(c)
+
+
+def test_compose_refuses_maps_that_do_not_chain(chain):
+    with pytest.raises(covers.MismatchedComplexes, match=r"^compose: f\.target is not g\.source$"):
+        compose(chain.map2, chain.map2)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +863,8 @@ _loop_cones = {("d", 0): [("cone", "d", 0)], ("d", 1): [("cone", "d", 1)]}
                  "graph_covering", "edge e: empty image path", id="edge-empty-path"),
     pytest.param(_wall_over_plain_point, "graph_covering",
                  "('v', 'a'): local order 2 does not divide target order 1", id="local-order"),
-    pytest.param(_two_edges_over_one, "graph_covering", "('v', 'a'): star size 2 != 1", id="star-size"),
+    pytest.param(_two_edges_over_one, "graph_covering", "('v', 'a'): target dart ('t', 0) covered 2 times, expected 1",
+                 id="target-dart"),
     pytest.param(_two_edges_over_one, "graph_covering", "vertex w: fiber sum 1 != degree 2",
                  id="vertex-fiber-sum"),
     pytest.param(_free_over_mirror, "boundary", "segment ('v0.v1.v2.d', 0, 0): kind free over mirror",

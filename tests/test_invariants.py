@@ -436,6 +436,14 @@ def test_compare_relabeled_first_cover(chain):
     assert report["abelianization"][0] == report["abelianization"][1]
 
 
+def test_compare_without_a_rotation_is_inconclusive(chain):
+    # the Davis complex has no rotation system, so no planar normal form
+    assert chain.base.rotation is None
+    report = compare_report(chain.base, chain.base)
+    assert report["homotopy_certificate"] == "inconclusive"
+    assert report["verdicts"] == ["homotopy equivalence inconclusive", "singular subspaces homeomorphic"]
+
+
 def test_compare_base_and_cover_differ(chain):
     report = compare_report(chain.base, chain.cover1)
     assert report["euler"] == (Fraction(-9, 2), Fraction(-9))
