@@ -239,7 +239,36 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
     return out
 
 
+def _attachment_violations(
+    f: CoveringMap, ref: SegRef, kind: str, path: list[Step], tgt_pid: str
+) -> list[str]:
+    """Attachment commutation of one source segment: the target edges its
+    image path is attached along are the image of its own edge."""
+    out: list[str] = []
+    s_att = f.source.attachments.get(ref)
+    imgs = []
+    for tci, tsi, d in path:
+        t_att = f.target.attachments.get((tgt_pid, tci, tsi))
+        if t_att is not None:
+            imgs.append((t_att[0], t_att[1] * d))
+        elif kind == FREE and s_att is not None:
+            out.append(f"segment {ref}: attached over unattached target segment")
+    if s_att is not None:
+        e, d = s_att
+        mapped = f.edge_map.get(e)
+        if mapped is None:
+            out.append(f"segment {ref}: attachment edge {e} unmapped")
+        else:
+            want = mapped if d == 1 else reverse_walk(mapped)
+            if imgs != want:
+                out.append(f"segment {ref}: attachment image {imgs} != edge path {want}")
+    return out
+
+
 def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piece) -> list[str]:
+    """Condition (3) for one source piece, in full.  Apart from attachment
+    commutation every check reads only the piece's class: its boundary, its
+    target's boundary, its local degree and its segment-map paths."""
     out: list[str] = []
     pid, tgt_pid = src_piece.id, tgt_piece.id
     local_degree = f.piece_map[pid][1]
@@ -270,26 +299,7 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
                 if tkind != kind:
                     out.append(f"segment {ref}: kind {kind} over {tkind}")
                 coverage[(tci, tsi)] += 1
-            # attachment commutation
-            s_att = f.source.attachments.get(ref)
-            imgs = []
-            for tci, tsi, d in path:
-                t_att = f.target.attachments.get((tgt_pid, tci, tsi))
-                if t_att is not None:
-                    imgs.append((t_att[0], t_att[1] * d))
-                elif kind == FREE and s_att is not None:
-                    out.append(f"segment {ref}: attached over unattached target segment")
-            if s_att is not None:
-                e, d = s_att
-                mapped = f.edge_map.get(e)
-                if mapped is None:
-                    out.append(f"segment {ref}: attachment edge {e} unmapped")
-                else:
-                    want = mapped if d == 1 else reverse_walk(mapped)
-                    if imgs != want:
-                        out.append(
-                            f"segment {ref}: attachment image {imgs} != edge path {want}"
-                        )
+            out += _attachment_violations(f, ref, kind, path, tgt_pid)
             steps_all.extend(path)
         if len(tgt_circles) > 1:
             out.append(f"piece {pid} circle {ci}: image spans circles {sorted(tgt_circles)}")
@@ -355,13 +365,21 @@ def verify_covering(f: CoveringMap) -> CoverReport:
     over: dict[str, list[str]] = {q: [] for q in tgt}
     for spid, (q, _l) in f.piece_map.items():
         over[q].append(spid)
-    tgt_chi = {q: piece_orbifold_euler(piece) for q, piece in tgt.items()}
+    shape_chi: dict[tuple, Fraction] = {}
+
+    def chi(p: Piece) -> Fraction:
+        shape = (p.genus, p.boundary, p.cones)
+        if shape not in shape_chi:
+            shape_chi[shape] = piece_orbifold_euler(p)
+        return shape_chi[shape]
 
     # (1) fiber sums over pieces (graph cells are covered inside condition 5),
-    # (2) per-piece Euler multiplicativity, (3) boundary compatibility
+    # (2) per-piece Euler multiplicativity, (3) boundary compatibility: a
+    # piece whose class an earlier piece passed needs only its attachments
     fiber_violations: list[str] = []
     euler_violations: list[str] = []
     boundary_violations: list[str] = []
+    clean_classes: set[tuple] = set()
     for p in f.source.pieces:
         if p.id not in f.piece_map:
             fiber_violations.append(f"piece {p.id}: no image")
@@ -369,10 +387,21 @@ def verify_covering(f: CoveringMap) -> CoverReport:
         q, local_degree = f.piece_map[p.id]
         if local_degree < 1:
             fiber_violations.append(f"piece {p.id}: local degree {local_degree}")
-        lhs = piece_orbifold_euler(p)
-        if lhs != local_degree * tgt_chi[q]:
+        lhs = chi(p)
+        if lhs != local_degree * chi(tgt[q]):
             euler_violations.append(f"piece {p.id}: chi {lhs} != {local_degree} * chi({q})")
-        boundary_violations.extend(_piece_boundary_violations(f, p, tgt[q]))
+        segments = [((p.id, ci, si), kind) for ci, si, kind in p.segments()]
+        paths = [f.segment_map.get(ref) for ref, _kind in segments]
+        # a missing path and an empty one both fail the walk, so they may share a key
+        key = (p.boundary, tgt[q].boundary, local_degree, tuple(tuple(path or ()) for path in paths))
+        if key in clean_classes:
+            for (ref, kind), path in zip(segments, paths):
+                boundary_violations += _attachment_violations(f, ref, kind, path, q)
+            continue
+        violations = _piece_boundary_violations(f, p, tgt[q])
+        if not violations:
+            clean_classes.add(key)
+        boundary_violations += violations
     for q, spids in sorted(over.items()):
         total = sum(f.piece_map[spid][1] for spid in spids)
         if total != f.degree:

@@ -13,6 +13,7 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 from typing import Iterator, Optional
@@ -242,6 +243,26 @@ class Orbicomplex:
     def piece(self, pid: str) -> Piece:
         return self.pieces_by_id[pid]
 
+    @cached_property
+    def euler(self) -> Fraction:
+        """Exact orbifold Euler characteristic: the graph's 4 quarters per
+        vertex of local order 1, 2 per vertex of order 2 and -4 per edge,
+        plus each piece shape's χ times its count, plus a seam term.  Gluing
+        a segment adds +4 and turns each junction beside it into -4: 0 in
+        all, less 2 per side whose neighbour is a free unattached segment.
+        The complex cannot change, so this is computed on first use only."""
+        graph, attachments, pieces_by_id = self.graph, self.attachments, self.pieces_by_id
+        quarters = sum(4 // local_order(m) for m in graph.marks.values()) - 4 * len(graph.edges)
+        for pid, ci, si in attachments:
+            circle = pieces_by_id[pid].boundary[ci]
+            t = len(circle)
+            for sj in ((si - 1) % t, (si + 1) % t):
+                if circle[sj] == FREE and (pid, ci, sj) not in attachments:
+                    quarters -= 2
+        shapes = Counter((p.genus, p.boundary, p.cones) for p in self.pieces)
+        pieces = (n * piece_orbifold_euler(Piece("", *shape)) for shape, n in shapes.items())
+        return sum(pieces, Fraction(quarters, 4))
+
     def seg_endpoints(self, ref: SegRef) -> Optional[tuple[str, str]]:
         """Graph vertices at the start/end of an attached segment, in the
         circle's traversal direction; None if unattached or dangling."""
@@ -372,22 +393,9 @@ def piece_orbifold_euler(p: Piece) -> Fraction:
 
 
 def euler_characteristic(c: Orbicomplex) -> Fraction:
-    """Exact orbifold Euler characteristic of the glued complex: the graph's
-    4 quarters per vertex of local order 1, 2 per vertex of order 2 and -4
-    per edge, plus each piece shape's χ times its count, plus a seam term.
-    Gluing a segment adds +4 and turns each junction beside it into -4: 0 in
-    all, less 2 per side whose neighbour is a free unattached segment."""
-    quarters = sum(4 // local_order(m) for m in c.graph.marks.values()) - 4 * len(c.graph.edges)
-    attachments, pieces_by_id = c.attachments, c.pieces_by_id
-    for pid, ci, si in attachments:
-        circle = pieces_by_id[pid].boundary[ci]
-        t = len(circle)
-        for sj in ((si - 1) % t, (si + 1) % t):
-            if circle[sj] == FREE and (pid, ci, sj) not in attachments:
-                quarters -= 2
-    shapes = Counter((p.genus, p.boundary, p.cones) for p in c.pieces)
-    pieces = (n * piece_orbifold_euler(Piece("", *shape)) for shape, n in shapes.items())
-    return sum(pieces, Fraction(quarters, 4))
+    """Exact orbifold Euler characteristic of the glued complex, computed
+    once per complex (``Orbicomplex.euler``)."""
+    return c.euler
 
 
 # ---------------------------------------------------------------------------

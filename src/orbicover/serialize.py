@@ -6,7 +6,8 @@ and reports are only written."""
 from __future__ import annotations
 
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .coxeter import DefiningGraph, GroupPresentation
 from .covers import CoverReport, CoveringMap
@@ -341,7 +342,49 @@ def compare_report_to_json(report: dict) -> dict:
 
 
 def dumps(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for trees whose dict keys are all strings.  CPython indents only in its
+    pure-Python encoder; this writer emits the same tokens at a fraction of
+    its cost."""
+    out: list[str] = []
+    _write(data, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o: Any, newline: str, emit: Callable[[str], None]) -> None:
+    """Append ``o``'s tokens; ``newline`` is a line break and the current
+    indentation, which each nested container deepens by two spaces."""
+    if isinstance(o, str):
+        emit(encode_basestring_ascii(o))
+    elif type(o) is int:
+        emit(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write(o[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:  # bool, None, float: one token, as the encoder writes it
+        emit(json.dumps(o))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

@@ -792,6 +792,61 @@ def test_verifier_witness_text(chain):
         assert str(verify_covering(mutant)) == expected, name
 
 
+def _counted_full_walks(monkeypatch) -> list[str]:
+    """The source pieces ``verify_covering`` walks in full, as it walks them."""
+    walked = []
+    full_walk = covers._piece_boundary_violations
+
+    def counted(f, src_piece, tgt_piece):
+        walked.append(src_piece.id)
+        return full_walk(f, src_piece, tgt_piece)
+
+    monkeypatch.setattr(covers, "_piece_boundary_violations", counted)
+    return walked
+
+
+def test_verifier_checks_attachments_of_a_clean_class(chain, monkeypatch):
+    # v1-v2-1.01 is in the class that v1-v2-0.01 passes first; moving its
+    # first segment onto another edge with the same ends (multiplicities
+    # refilled) must give the report the full walk gives
+    f = chain.map1
+    atts = {**f.source.attachments, ("v1-v2-1.01", 0, 0): ("c.w.v3", 1)}
+    graph = MarkedGraph(marks=f.source.graph.marks, edges=f.source.graph.edges)
+    mutant = replace(f, source=replace(f.source, graph=graph, attachments=atts))
+    walked = _counted_full_walks(monkeypatch)
+    assert str(verify_covering(mutant)) == """\
+FAIL degree=2
+  fiber_sums: PASS
+  piece_euler: PASS
+  boundary: FAIL (segment ('v1-v2-1.01', 0, 0): attachment image [('e.v1', -1), ('e.v1', 1)] != edge path [('e.v3', -1), ('e.v3', 1)])
+  cone_fibers: PASS
+  graph_covering: PASS
+  global_euler: PASS"""
+    assert walked == ["v1-v2-0.01", "v1-v3-0.01"]
+
+
+def _piece_class(f, p):
+    """What condition (3) reads of a source piece, attachments apart."""
+    q, local_degree = f.piece_map[p.id]
+    paths = tuple(tuple(f.segment_map[(p.id, ci, si)]) for ci, si, _kind in p.segments())
+    return (p.boundary, f.target.pieces_by_id[q].boundary, local_degree, paths)
+
+
+def test_verifier_walks_each_piece_class_once(covering_maps, monkeypatch):
+    walked = _counted_full_walks(monkeypatch)
+    pieces = walks = 0
+    for name, fm in covering_maps:
+        walked.clear()
+        assert verify_covering(fm).passed, name
+        # one full walk per class: distinct classes, and all of them
+        walked_classes = {_piece_class(fm, fm.source.pieces_by_id[pid]) for pid in walked}
+        classes = {_piece_class(fm, p) for p in fm.source.pieces}
+        assert len(walked) == len(walked_classes) == len(classes), name
+        pieces += len(fm.source.pieces)
+        walks += len(walked)
+    assert (len(covering_maps), pieces, walks) == (14, 142, 36)
+
+
 def _mutated(make_complex, **fields):
     """The identity covering of ``make_complex()`` with some fields replaced."""
     return replace(identity_covering(make_complex()), **fields)

@@ -1,0 +1,58 @@
+"""``serialize.dumps`` against the standard library's indenting encoder,
+which it replaces: on any tree of strings, ints, floats, booleans, None,
+lists, tuples and string-keyed dicts the bytes must be the same."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbicover import serialize
+from orbicover.covers import verify_covering
+
+
+def _reference(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+_text = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é", " ", "😀", ""])
+_scalars = (
+    _text
+    | st.integers()
+    | st.integers(max_value=-(2**70))
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+_trees = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_text, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_trees)
+def test_dumps_matches_the_indenting_encoder(data):
+    assert serialize.dumps(data) == _reference(data)
+
+
+def test_dumps_matches_on_every_tower_output(chain, covering_maps, demo_report):
+    complexes = [chain.base, chain.cover1, chain.cover2, chain.y, chain.z, chain.y_hat, chain.z_hat]
+    complexes += [c for _phi, c, _f in chain.family1 + chain.family2]
+    maps = [f for _name, f in covering_maps] + [chain.y_map, chain.z_map]
+    docs = [serialize.orbicomplex_to_json(c) for c in complexes]
+    docs += [serialize.covering_map_to_json(f) for f in maps]
+    docs += [serialize.cover_report_to_json(verify_covering(f)) for f in maps]
+    docs.append(dict(demo_report))  # with its float timings
+    for data in docs:
+        assert serialize.dumps(data) == _reference(data)
+
+
+def test_dumps_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError, match="^keys must be str, not int$"):
+        serialize.dumps({1: "one"})
