@@ -4,7 +4,7 @@ Covers are concrete combinatorial maps: graph vertices/edges map to
 vertices/edge-paths (paths of length two realize the folding of an edge
 over an unfolded reflection wall), pieces map with a local degree, boundary
 segments map to segment paths, and cone fibers are listed explicitly.
-``verify_covering`` re-checks all of it from scratch.
+A map's references are checked when it is built, the rest by ``verify_covering``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .orbicore import (
     FREE,
@@ -74,16 +75,51 @@ class BadGenus(OrbicoverError):
 Step = tuple[int, int, int]  # (target circle, target segment, direction)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoveringMap:
+    """Checked once, when built, and frozen; a dangling reference raises MismatchedComplexes."""
+
     source: Orbicomplex
     target: Orbicomplex
     degree: int
-    vertex_map: dict[str, str] = field(default_factory=dict)
-    edge_map: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    piece_map: dict[str, tuple[str, int]] = field(default_factory=dict)
-    segment_map: dict[SegRef, list[Step]] = field(default_factory=dict)
-    cone_fibers: dict[tuple[str, int], list[tuple]] = field(default_factory=dict)
+    vertex_map: Mapping[str, str] = field(default_factory=dict)
+    edge_map: Mapping[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)
+    piece_map: Mapping[str, tuple[str, int]] = field(default_factory=dict)
+    segment_map: Mapping[SegRef, tuple[Step, ...]] = field(default_factory=dict)
+    cone_fibers: Mapping[tuple[str, int], tuple[tuple, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, table in (
+            ("vertex_map", dict(self.vertex_map)),
+            ("edge_map", {e: tuple(map(tuple, path)) for e, path in self.edge_map.items()}),
+            ("piece_map", dict(self.piece_map)),
+            ("segment_map", {ref: tuple(map(tuple, path)) for ref, path in self.segment_map.items()}),
+            ("cone_fibers", {key: tuple(toks) for key, toks in self.cone_fibers.items()}),
+        ):
+            object.__setattr__(self, name, MappingProxyType(table))
+        src_pieces, tgt_pieces = self.source.pieces_by_id, self.target.pieces_by_id
+        for v, w in self.vertex_map.items():
+            if v not in self.source.graph.marks or w not in self.target.graph.marks:
+                raise MismatchedComplexes(f"vertex_map {v!r} -> {w!r}")
+        for e, path in self.edge_map.items():
+            if e not in self.source.graph.edges:
+                raise MismatchedComplexes(f"edge_map key {e!r}")
+            for te, _d in path:
+                if te not in self.target.graph.edges:
+                    raise MismatchedComplexes(f"edge_map {e!r} -> {te!r}")
+        for p, (q, _l) in self.piece_map.items():
+            if p not in src_pieces or q not in tgt_pieces:
+                raise MismatchedComplexes(f"piece_map {p!r} -> {q!r}")
+        for pid, ci, si in self.segment_map:
+            boundary = src_pieces[pid].boundary if pid in src_pieces else ()
+            if not (0 <= ci < len(boundary) and 0 <= si < len(boundary[ci])):
+                raise MismatchedComplexes(f"segment_map key {(pid, ci, si)!r}")
+        for (q, j) in self.cone_fibers:
+            if q not in tgt_pieces or not 0 <= j < len(tgt_pieces[q].cones):
+                raise MismatchedComplexes(f"cone_fibers key ({q!r}, {j})")
+
+    def __deepcopy__(self, memo) -> "CoveringMap":
+        return self
 
 
 @dataclass(frozen=True)
@@ -116,29 +152,6 @@ class CoverReport:
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def _check_references(f: CoveringMap) -> None:
-    src_pieces, tgt_pieces = f.source.pieces_by_id, f.target.pieces_by_id
-    for v, w in f.vertex_map.items():
-        if v not in f.source.graph.marks or w not in f.target.graph.marks:
-            raise MismatchedComplexes(f"vertex_map {v!r} -> {w!r}")
-    for e, path in f.edge_map.items():
-        if e not in f.source.graph.edges:
-            raise MismatchedComplexes(f"edge_map key {e!r}")
-        for te, _d in path:
-            if te not in f.target.graph.edges:
-                raise MismatchedComplexes(f"edge_map {e!r} -> {te!r}")
-    for p, (q, _l) in f.piece_map.items():
-        if p not in src_pieces or q not in tgt_pieces:
-            raise MismatchedComplexes(f"piece_map {p!r} -> {q!r}")
-    for pid, ci, si in f.segment_map:
-        boundary = src_pieces[pid].boundary if pid in src_pieces else ()
-        if not (0 <= ci < len(boundary) and 0 <= si < len(boundary[ci])):
-            raise MismatchedComplexes(f"segment_map key {(pid, ci, si)!r}")
-    for (q, j) in f.cone_fibers:
-        if q not in tgt_pieces or not 0 <= j < len(tgt_pieces[q].cones):
-            raise MismatchedComplexes(f"cone_fibers key ({q!r}, {j})")
 
 
 def _junctions_of_step(t: int, step: Step) -> tuple[int, int]:
@@ -240,7 +253,7 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
 
 
 def _attachment_violations(
-    f: CoveringMap, ref: SegRef, kind: str, path: list[Step], tgt_pid: str
+    f: CoveringMap, ref: SegRef, kind: str, path: Sequence[Step], tgt_pid: str
 ) -> list[str]:
     """Attachment commutation of one source segment: the target edges its
     image path is attached along are the image of its own edge."""
@@ -259,7 +272,7 @@ def _attachment_violations(
         if mapped is None:
             out.append(f"segment {ref}: attachment edge {e} unmapped")
         else:
-            want = mapped if d == 1 else reverse_walk(mapped)
+            want = list(mapped) if d == 1 else reverse_walk(mapped)
             if imgs != want:
                 out.append(f"segment {ref}: attachment image {imgs} != edge path {want}")
     return out
@@ -347,11 +360,10 @@ def verify_covering(f: CoveringMap) -> CoverReport:
     orbifold-Euler multiplicativity, (3) boundary compatibility of segment
     maps including attachment commutation and winding, (4) cone fibers,
     (5) the induced map of singular subspaces is an orbifold graph
-    covering, (6) global Euler multiplicativity.  The complexes were
-    validated when built and cannot change, so only the map is checked.
+    covering, (6) global Euler multiplicativity.  The complexes and the
+    map's references were checked when built and cannot change.
     """
     src, tgt = f.source.pieces_by_id, f.target.pieces_by_id
-    _check_references(f)
     checks: list[CheckResult] = []
 
     def record(condition: str, violations: list[str]) -> None:
@@ -392,8 +404,7 @@ def verify_covering(f: CoveringMap) -> CoverReport:
             euler_violations.append(f"piece {p.id}: chi {lhs} != {local_degree} * chi({q})")
         segments = [((p.id, ci, si), kind) for ci, si, kind in p.segments()]
         paths = [f.segment_map.get(ref) for ref, _kind in segments]
-        # a missing path and an empty one both fail the walk, so they may share a key
-        key = (p.boundary, tgt[q].boundary, local_degree, tuple(tuple(path or ()) for path in paths))
+        key = (p.boundary, tgt[q].boundary, local_degree, tuple(paths))
         if key in clean_classes:
             for (ref, kind), path in zip(segments, paths):
                 boundary_violations += _attachment_violations(f, ref, kind, path, q)
@@ -1089,7 +1100,7 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
     if f.target is not g.source and f.target != g.source:
         raise MismatchedComplexes("compose: f.target is not g.source")
 
-    def orient(path: list[tuple[str, int]], d: int) -> list[tuple[str, int]]:
+    def orient(path: Sequence[tuple[str, int]], d: int) -> Sequence[tuple[str, int]]:
         return path if d == 1 else reverse_walk(path)
 
     edge_map = {}
@@ -1099,7 +1110,7 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
             out.extend(orient(g.edge_map[be], d))
         edge_map[e] = out
 
-    def orient_steps(steps: list[Step], d: int) -> list[Step]:
+    def orient_steps(steps: Sequence[Step], d: int) -> Sequence[Step]:
         return steps if d == 1 else [(ci, si, -dd) for ci, si, dd in reversed(steps)]
 
     segment_map = {}

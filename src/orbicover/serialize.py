@@ -276,38 +276,39 @@ def _preimage(tok: list) -> tuple:
 
 def covering_map_from_json(data: dict) -> CoveringMap:
     data = _obj(data, "covering map")
-    f = CoveringMap(
-        source=orbicomplex_from_json(_need(data, "source")),
-        target=orbicomplex_from_json(_need(data, "target")),
-        degree=_int(_need(data, "degree"), "degree"),
-        vertex_map={
-            v: _str(w, "vertex_map value")
-            for v, w in _obj(data.get("vertex_map", {}), "vertex_map").items()
-        },
-        edge_map={
-            e: [
-                (_str(te, "edge path edge"), _int(d, "edge direction"))
-                for te, d in _rows(path, "edge path step", 2)
-            ]
-            for e, path in _obj(data.get("edge_map", {}), "edge_map").items()
-        },
-    )
+    source = orbicomplex_from_json(_need(data, "source"))
+    target = orbicomplex_from_json(_need(data, "target"))
+    degree = _int(_need(data, "degree"), "degree")
+    vertex_map = {
+        v: _str(w, "vertex_map value")
+        for v, w in _obj(data.get("vertex_map", {}), "vertex_map").items()
+    }
+    edge_map = {
+        e: [
+            (_str(te, "edge path edge"), _int(d, "edge direction"))
+            for te, d in _rows(path, "edge path step", 2)
+        ]
+        for e, path in _obj(data.get("edge_map", {}), "edge_map").items()
+    }
+    piece_map, segment_map, cone_fibers = {}, {}, {}
     for p, value in _obj(data.get("piece_map", {}), "piece_map").items():
         q, l = _list(value, "piece_map value", 2)
-        f.piece_map[p] = (_str(q, "piece_map value"), _int(l, "local degree"))
+        piece_map[p] = (_str(q, "piece_map value"), _int(l, "local degree"))
     for sd in _list(data.get("segment_map", []), "segment_map"):
         sd = _obj(sd, "segment_map entry")
         steps = [
             (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
             for a, b, d in _rows(_need(sd, "steps"), "segment step", 3)
         ]
-        _put(f.segment_map, _segment_ref(sd), steps, "segment_map entry")
+        _put(segment_map, _segment_ref(sd), steps, "segment_map entry")
     for cd in _list(data.get("cone_fibers", []), "cone_fibers"):
         cd = _obj(cd, "cone_fibers entry")
         key = (_str(_need(cd, "piece"), "piece id"), _int(_need(cd, "cone"), "cone index"))
         tokens = [_preimage(tok) for tok in _rows(_need(cd, "preimages"), "cone preimage", 3)]
-        _put(f.cone_fibers, key, tokens, "cone_fibers entry")
-    return f
+        _put(cone_fibers, key, tokens, "cone_fibers entry")
+    return CoveringMap(
+        source, target, degree, vertex_map, edge_map, piece_map, segment_map, cone_fibers
+    )
 
 
 # --- reports ---------------------------------------------------------------

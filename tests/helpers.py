@@ -7,20 +7,18 @@ from orbicover.orbicore import Orbicomplex
 
 def identity_covering(c: Orbicomplex) -> CoveringMap:
     """The degree-1 covering of a complex by itself."""
-    f = CoveringMap(
+    return CoveringMap(
         source=c,
         target=c,
         degree=1,
         vertex_map={v: v for v in c.graph.marks},
         edge_map={e: [(e, 1)] for e in c.graph.edges},
         piece_map={p.id: (p.id, 1) for p in c.pieces},
+        segment_map={
+            (p.id, ci, si): [(ci, si, 1)] for p in c.pieces for ci, si, _kind in p.segments()
+        },
+        cone_fibers={(p.id, j): [("cone", p.id, j)] for p in c.pieces for j in range(len(p.cones))},
     )
-    for p in c.pieces:
-        for ci, si, _kind in p.segments():
-            f.segment_map[(p.id, ci, si)] = [(ci, si, 1)]
-        for j in range(len(p.cones)):
-            f.cone_fibers[(p.id, j)] = [("cone", p.id, j)]
-    return f
 
 
 def defining_graph_to_json(g: DefiningGraph) -> dict:

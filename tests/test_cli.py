@@ -379,6 +379,10 @@ def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
         (_cone_key_minus_one, 3, "cone_fibers key"),
         (_segment_key_circle_five, 3, "segment_map key"),
         (_source_empty_circle, 3, "EmptyBoundaryCircle"),
+        # references the target lacks: refused as the map is built
+        (_vertex_image_ghost, 3, "precondition failed: vertex_map 'hub.0.0' -> 'ghost'"),
+        (_edge_image_ghost, 3, "precondition failed: edge_map 'c.w.v1.0' -> 'ghost'"),
+        (_piece_image_ghost, 3, "precondition failed: piece_map 'v1-v2-0.01.0' -> 'ghost'"),
     ):
         data = json.loads(serialize.dumps(covering_map_to_json(chain.map2)))
         mutate(data)
@@ -475,6 +479,18 @@ def _cone_key_minus_one(data):
 
 def _segment_key_circle_five(data):
     data["segment_map"].append({**data["segment_map"][0], "circle": 5})
+
+
+def _vertex_image_ghost(data):
+    data["vertex_map"]["hub.0.0"] = "ghost"
+
+
+def _edge_image_ghost(data):
+    data["edge_map"]["c.w.v1.0"][0][0] = "ghost"
+
+
+def _piece_image_ghost(data):
+    data["piece_map"]["v1-v2-0.01.0"][0] = "ghost"
 
 
 def _source_empty_circle(data):

@@ -1,12 +1,13 @@
+import copy
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import partial
 from fractions import Fraction
 
 import pytest
 
-from orbicover import covers, orbicore
+from orbicover import covers, orbicore, serialize
 from orbicover.covers import (
     BadGenus,
     CoveringMap,
@@ -92,11 +93,9 @@ def test_first_cover_boundary_words(chain):
 
 
 def test_local_degree_defect_fails_fiber_and_euler(chain):
-    import copy
-
-    broken = copy.deepcopy(chain.map1)
-    pid = broken.source.pieces[0].id
-    broken.piece_map[pid] = (broken.piece_map[pid][0], 3)
+    f = chain.map1
+    pid = f.source.pieces[0].id
+    broken = replace(f, piece_map={**f.piece_map, pid: (f.piece_map[pid][0], 3)})
     rep = verify_covering(broken)
     assert not rep.passed
     failed = {c.condition for c in rep.failures()}
@@ -105,30 +104,85 @@ def test_local_degree_defect_fails_fiber_and_euler(chain):
 
 
 def test_missing_segment_map_fails_boundary(chain):
-    import copy
-
-    broken = copy.deepcopy(chain.map1)
-    key = sorted(broken.segment_map)[0]
-    del broken.segment_map[key]
+    f = chain.map1
+    key = sorted(f.segment_map)[0]
+    broken = replace(f, segment_map={ref: steps for ref, steps in f.segment_map.items() if ref != key})
     rep = verify_covering(broken)
     assert not rep.passed
     assert any(c.condition == "boundary" for c in rep.failures())
 
 
 def test_dangling_reference_raises(chain):
-    # a piece_map entry, or a segment_map key naming no source piece or circle
-    import copy
-
-    ref = sorted(chain.map1.segment_map)[0]
-    for mutate in (
-        lambda f: f.piece_map.update(ghost=("nowhere", 1)),
-        lambda f: f.segment_map.update({("ghost", 0, 0): f.segment_map[ref]}),
-        lambda f: f.segment_map.update({(ref[0], 5, 0): f.segment_map[ref]}),
+    # a piece_map entry, or a segment_map key naming no source piece or
+    # circle: the map is refused as it is built
+    f = chain.map1
+    ref = sorted(f.segment_map)[0]
+    for fields in (
+        {"piece_map": {**f.piece_map, "ghost": ("nowhere", 1)}},
+        {"segment_map": {**f.segment_map, ("ghost", 0, 0): f.segment_map[ref]}},
+        {"segment_map": {**f.segment_map, (ref[0], 5, 0): f.segment_map[ref]}},
     ):
-        broken = copy.deepcopy(chain.map1)
-        mutate(broken)
         with pytest.raises(covers.MismatchedComplexes):
-            verify_covering(broken)
+            replace(f, **fields)
+
+
+def test_built_map_cannot_change(chain):
+    f = chain.map2
+    with pytest.raises(FrozenInstanceError):
+        f.piece_map = {}
+    with pytest.raises(FrozenInstanceError):
+        f.degree = 4
+    for mapping in (f.vertex_map, f.edge_map, f.piece_map, f.segment_map, f.cone_fibers):
+        key = min(mapping)
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+    for mapping in (f.edge_map, f.segment_map, f.cone_fibers):
+        path = mapping[min(mapping)]
+        with pytest.raises(TypeError):
+            path[0] = path[0]
+    assert copy.deepcopy(f) is f
+    pid = min(f.piece_map)
+    with pytest.raises(covers.MismatchedComplexes, match=rf"^piece_map '{pid}' -> 'ghost'$"):
+        replace(f, piece_map={**f.piece_map, pid: ("ghost", 1)})
+
+    # the caller's dicts and lists stay the caller's: editing them later
+    # leaves the built map as it was checked
+    c = loop_complex(2)
+    path, steps, tokens = [("e", 1)], [(0, 0, 1)], [("cone", "d", 0)]
+    tables = (
+        {"v": "v"},
+        {"e": path},
+        {"d": ("d", 1)},
+        {("d", 0, 0): steps},
+        {("d", 0): tokens, ("d", 1): [("cone", "d", 1)]},
+    )
+    g = CoveringMap(c, c, 1, *tables)
+    assert verify_covering(g).passed
+    for table in tables:
+        table["ghost"] = None
+    path.append(("e", -1))
+    steps[0] = (0, 0, -1)
+    tokens.clear()
+    assert (dict(g.vertex_map), dict(g.edge_map), dict(g.piece_map)) == (
+        {"v": "v"}, {"e": (("e", 1),)}, {"d": ("d", 1)}
+    )
+    assert dict(g.segment_map) == {("d", 0, 0): ((0, 0, 1),)}
+    assert dict(g.cone_fibers) == {("d", 0): (("cone", "d", 0),), ("d", 1): (("cone", "d", 1),)}
+    assert verify_covering(g).passed
+
+
+def test_map_built_with_list_steps_reads_like_tuples(chain):
+    # steps and edge-path entries given as lists are read as tuples: the
+    # report and the serialized bytes are those of the map itself
+    f = chain.map1
+    listed = replace(
+        f,
+        edge_map={e: [list(step) for step in path] for e, path in f.edge_map.items()},
+        segment_map={ref: [list(step) for step in path] for ref, path in f.segment_map.items()},
+    )
+    assert str(verify_covering(listed)) == str(verify_covering(f))
+    to_json = serialize.covering_map_to_json
+    assert serialize.dumps(to_json(listed)) == serialize.dumps(to_json(f))
 
 
 def _segment_steps_at_minus_seven():
@@ -145,8 +199,7 @@ def _loop_step_at_zero():
     # a disk beside an unattached loop, the loop sent to itself with step 0
     g = MarkedGraph(marks={"v": None}, edges={"e": ("v", "v")})
     f = identity_covering(Orbicomplex(pieces=[disk_with_cones("d", 2)], graph=g))
-    f.edge_map["e"] = [("e", 0)]
-    return f
+    return replace(f, edge_map={**f.edge_map, "e": [("e", 0)]})
 
 
 @pytest.mark.parametrize("make, witness", [
@@ -289,10 +342,10 @@ def test_edge_between_two_unfolded_walls_smooths_one():
     cover, f = double_cover(c, TwoTorsionLabeling(walls={"a": 1, "b": 1}))
     assert cover.graph.marks == {"W2.m": None}
     assert cover.graph.edges == {"c.W1": ("W2.m", "W2.m")}
-    assert f.edge_map["c.W1"] == [("e", -1), ("e", 1)]
+    assert f.edge_map["c.W1"] == (("e", -1), ("e", 1))
     # each copy of the disk runs W2 -> W1 -> W2 as one segment
     assert [p.boundary for p in cover.pieces] == [((FREE,),), ((FREE,),)]
-    assert f.segment_map[("d.0", 0, 0)] == [(0, 1, 1), (0, 0, 1)]
+    assert f.segment_map[("d.0", 0, 0)] == ((0, 1, 1), (0, 0, 1))
     assert orbicore.validate_complex(cover) == []
     assert verify_covering(f).passed
 
@@ -637,7 +690,7 @@ def test_every_constructed_cover_verifies(covering_maps):
 def _negated(seq, k):
     """``seq`` with the direction (last field) of item k negated."""
     item = seq[k]
-    return seq[:k] + [item[:-1] + (-item[-1],)] + seq[k + 1:]
+    return seq[:k] + (item[:-1] + (-item[-1],),) + seq[k + 1:]
 
 
 def _with_source_attachment(f, ref, att):
@@ -700,7 +753,7 @@ def test_verifier_reports_cone_token_with_non_integer_index(chain, kind):
     )
     k = next(k for k, t in enumerate(toks) if t[0] == kind)
     bad = ("cone", toks[k][1], toks[k][2] if kind == "smooth" else False)
-    mutant = replace(f, cone_fibers={**f.cone_fibers, key: toks[:k] + [bad] + toks[k + 1:]})
+    mutant = replace(f, cone_fibers={**f.cone_fibers, key: toks[:k] + (bad,) + toks[k + 1:]})
     report = verify_covering(mutant)
     assert not report.passed
     assert f"cone ({key[0]},{key[1]}): bad token {bad}" in [c.witness for c in report.failures()]
@@ -718,7 +771,7 @@ def test_verifier_reports_malformed_cone_token(chain, make_bad):
     f = chain.map2
     key, toks = min(f.cone_fibers.items())
     bad = make_bad(toks[0][1])
-    mutant = replace(f, cone_fibers={**f.cone_fibers, key: [bad] + toks[1:]})
+    mutant = replace(f, cone_fibers={**f.cone_fibers, key: (bad,) + toks[1:]})
     report = verify_covering(mutant)
     assert not report.passed
     assert f"cone ({key[0]},{key[1]}): bad token {bad}" in [c.witness for c in report.failures()]
@@ -903,13 +956,19 @@ _loop_cones = {("d", 0): [("cone", "d", 0)], ("d", 1): [("cone", "d", 1)]}
 
 
 @pytest.mark.parametrize("make, condition, witness", [
-    # a condition of None: verify_covering raises MismatchedComplexes
+    # a condition of None: building the map raises MismatchedComplexes
     pytest.param(partial(_mutated, _loop, vertex_map={"v": "v", "u": "v"}),
                  None, "vertex_map 'u' -> 'v'", id="vertex-map-reference"),
     pytest.param(partial(_mutated, _loop, edge_map={"e": [("e", 1)], "x": [("e", 1)]}),
                  None, "edge_map key 'x'", id="edge-map-key"),
     pytest.param(partial(_mutated, _loop, edge_map={"e": [("x", 1)]}),
                  None, "edge_map 'e' -> 'x'", id="edge-map-image"),
+    pytest.param(partial(_mutated, _loop, piece_map={"d": ("ghost", 1)}),
+                 None, "piece_map 'd' -> 'ghost'", id="piece-map-image"),
+    pytest.param(partial(_mutated, _loop, segment_map={("d", 0, 5): [(0, 0, 1)]}),
+                 None, "segment_map key ('d', 0, 5)", id="segment-map-key"),
+    pytest.param(partial(_mutated, _loop, cone_fibers={("d", 2): [("cone", "d", 0)]}),
+                 None, "cone_fibers key ('d', 2)", id="cone-fibers-key"),
     pytest.param(partial(_mutated, _loop, vertex_map={}),
                  "graph_covering", "vertex v has no image", id="vertex-no-image"),
     pytest.param(partial(_mutated, _loop, edge_map={}),
@@ -948,13 +1007,12 @@ _loop_cones = {("d", 0): [("cone", "d", 0)], ("d", 1): [("cone", "d", 1)]}
 ])
 def test_verifier_reaches_every_witness(make, condition, witness):
     # one hand-made mutant per witness line that no other test produces
-    f = make()
     if condition is None:
         with pytest.raises(covers.MismatchedComplexes) as exc:
-            verify_covering(f)
+            make()
         assert str(exc.value) == witness
     else:
-        assert (condition, witness) in [(c.condition, c.witness) for c in verify_covering(f).failures()]
+        assert (condition, witness) in [(c.condition, c.witness) for c in verify_covering(make()).failures()]
 
 
 def test_singular_functoriality(covering_maps):
