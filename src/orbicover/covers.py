@@ -252,36 +252,42 @@ def graph_covering_violations(f: CoveringMap) -> list[str]:
     return out
 
 
-def _attachment_violations(
-    f: CoveringMap, ref: SegRef, kind: str, path: Sequence[Step], tgt_pid: str
-) -> list[str]:
-    """Attachment commutation of one source segment: the target edges its
-    image path is attached along are the image of its own edge."""
-    out: list[str] = []
-    s_att = f.source.attachments.get(ref)
-    imgs = []
-    for tci, tsi, d in path:
-        t_att = f.target.attachments.get((tgt_pid, tci, tsi))
-        if t_att is not None:
-            imgs.append((t_att[0], t_att[1] * d))
-        elif kind == FREE and s_att is not None:
-            out.append(f"segment {ref}: attached over unattached target segment")
-    if s_att is not None:
-        e, d = s_att
+def _attachment_violations(f: CoveringMap) -> dict[SegRef, list[str]]:
+    """Attachment commutation, in one pass over the source attachments: the
+    target edges an attached segment's image path is attached along are the
+    image of its own edge.  The failing segments, each with its messages."""
+    out: dict[SegRef, list[str]] = {}
+    for ref, (e, d) in f.source.attachments.items():
+        path = f.segment_map.get(ref)
+        if not path or ref[0] not in f.piece_map:
+            continue  # condition (3) reports these without reading attachments
+        tgt_pid = f.piece_map[ref[0]][0]
+        problems, imgs = [], []
+        for tci, tsi, sd in path:
+            t_att = f.target.attachments.get((tgt_pid, tci, tsi))
+            if t_att is not None:
+                imgs.append((t_att[0], t_att[1] * sd))
+            else:
+                problems.append(f"segment {ref}: attached over unattached target segment")
         mapped = f.edge_map.get(e)
         if mapped is None:
-            out.append(f"segment {ref}: attachment edge {e} unmapped")
+            problems.append(f"segment {ref}: attachment edge {e} unmapped")
         else:
             want = list(mapped) if d == 1 else reverse_walk(mapped)
             if imgs != want:
-                out.append(f"segment {ref}: attachment image {imgs} != edge path {want}")
+                problems.append(f"segment {ref}: attachment image {imgs} != edge path {want}")
+        if problems:
+            out[ref] = problems
     return out
 
 
-def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piece) -> list[str]:
-    """Condition (3) for one source piece, in full.  Apart from attachment
-    commutation every check reads only the piece's class: its boundary, its
-    target's boundary, its local degree and its segment-map paths."""
+def _piece_boundary_violations(
+    f: CoveringMap, src_piece: Piece, tgt_piece: Piece, attachment: Mapping[SegRef, list[str]]
+) -> list[str]:
+    """Condition (3) for one source piece, in full, with attachment
+    commutation read from ``attachment``.  Every other check reads only the
+    piece's class: its boundary, its target's boundary, its local degree and
+    its segment-map paths."""
     out: list[str] = []
     pid, tgt_pid = src_piece.id, tgt_piece.id
     local_degree = f.piece_map[pid][1]
@@ -312,7 +318,7 @@ def _piece_boundary_violations(f: CoveringMap, src_piece: Piece, tgt_piece: Piec
                 if tkind != kind:
                     out.append(f"segment {ref}: kind {kind} over {tkind}")
                 coverage[(tci, tsi)] += 1
-            out += _attachment_violations(f, ref, kind, path, tgt_pid)
+            out += attachment.get(ref, ())
             steps_all.extend(path)
         if len(tgt_circles) > 1:
             out.append(f"piece {pid} circle {ci}: image spans circles {sorted(tgt_circles)}")
@@ -392,6 +398,7 @@ def verify_covering(f: CoveringMap) -> CoverReport:
     euler_violations: list[str] = []
     boundary_violations: list[str] = []
     clean_classes: set[tuple] = set()
+    attachment = _attachment_violations(f)
     for p in f.source.pieces:
         if p.id not in f.piece_map:
             fiber_violations.append(f"piece {p.id}: no image")
@@ -402,14 +409,13 @@ def verify_covering(f: CoveringMap) -> CoverReport:
         lhs = chi(p)
         if lhs != local_degree * chi(tgt[q]):
             euler_violations.append(f"piece {p.id}: chi {lhs} != {local_degree} * chi({q})")
-        segments = [((p.id, ci, si), kind) for ci, si, kind in p.segments()]
-        paths = [f.segment_map.get(ref) for ref, _kind in segments]
-        key = (p.boundary, tgt[q].boundary, local_degree, tuple(paths))
+        refs = [(p.id, ci, si) for ci, si, _kind in p.segments()]
+        key = (p.boundary, tgt[q].boundary, local_degree, tuple(map(f.segment_map.get, refs)))
         if key in clean_classes:
-            for (ref, kind), path in zip(segments, paths):
-                boundary_violations += _attachment_violations(f, ref, kind, path, q)
+            if attachment:
+                boundary_violations += [w for ref in refs for w in attachment.get(ref, ())]
             continue
-        violations = _piece_boundary_violations(f, p, tgt[q])
+        violations = _piece_boundary_violations(f, p, tgt[q], attachment)
         if not violations:
             clean_classes.add(key)
         boundary_violations += violations

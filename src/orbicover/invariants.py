@@ -56,16 +56,17 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix, positive.
 
     Sparse elimination over {column: entry} rows (Havas and Majewski 1997).
-    The pivot is an entry of least absolute value, ties broken by Markowitz
-    cost, so unit pivots come first and a singleton row d*e_c reduces its
-    column mod d.  The diagonal is regrouped by (gcd, lcm) pairs.
+    Unit pivots go first, from a worklist: each clears its column exactly
+    and leaves as a 1.  Then each singleton row d*e_c reduces the rest of
+    column c mod d, and leaves as |d| once it is alone in its column.
 
-    Pivots wait in a lazy min-heap keyed (|entry|, Markowitz cost, row,
+    The rest wait in a lazy min-heap keyed (|entry|, Markowitz cost, row,
     column).  An entry whose value a step changes is pushed again, so every
     live entry keeps a key with its current |value| and only the Markowitz
     half of a key can go stale; a popped key whose entry is gone is dropped,
     and one that differs from its entry's current key is pushed back
-    re-keyed.  Each pivot is thus still an entry of least |value|.
+    re-keyed.  Each pivot is thus an entry of least |value|.  The diagonal is
+    regrouped by (gcd, lcm) pairs.
     """
     return _invariant_factors([{j: x for j, x in enumerate(row) if x} for row in matrix])
 
@@ -81,9 +82,54 @@ def _invariant_factors(sparse: list[dict[int, int]]) -> list[int]:
     def key(i: int, j: int, row: dict[int, int]):
         return (abs(row[j]), (len(row) - 1) * (len(cols[j]) - 1), i, j)
 
+    def clear_column(pi: int, pj: int) -> list[tuple[int, int]]:
+        """Row operations by pivot (pi, pj) that leave only remainders in
+        column pj: the entries they change that stay nonzero."""
+        prow, changed = rows[pi], []
+        p = prow[pj]
+        for i in cols[pj] - {pi}:
+            row = rows[i]
+            q = row[pj] // p
+            for j, x in prow.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    cols[j].add(i)
+                    row[j] = y
+                    changed.append((i, j))
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+        return changed
+
+    diagonal = []
+    # unit pivots clear their columns exactly and leave as 1s
+    units = [(i, j) for i, row in rows.items() for j, x in row.items() if x in (1, -1)]
+    while units:
+        pi, pj = units.pop()
+        if rows.get(pi, {}).get(pj) in (1, -1):
+            units += [(i, j) for i, j in clear_column(pi, pj) if rows[i][j] in (1, -1)]
+            for j in rows.pop(pi):
+                cols[j].discard(pi)
+            del cols[pj]
+            diagonal.append(1)
+    # a singleton row d*e_j reduces the rest of column j mod d, touching
+    # column j alone, and leaves as |d| once it is alone in its column
+    singles = [i for i, row in rows.items() if len(row) == 1]
+    for pi in singles:
+        if len(rows.get(pi, ())) == 1:
+            [(pj, d)] = rows[pi].items()
+            for i in cols[pj] - {pi}:
+                row = rows[i]
+                row[pj] %= d
+                if not row[pj]:
+                    del row[pj]
+                    cols[pj].discard(i)
+                    singles.append(i)
+            if cols[pj] == {pi}:
+                diagonal.append(abs(d))
+                del rows[pi], cols[pj]
     heap = [key(i, j, row) for i, row in rows.items() for j in row]
     heapify(heap)
-    diagonal = []
     while heap:
         popped = heappop(heap)
         pi, pj = popped[2:]
@@ -96,21 +142,8 @@ def _invariant_factors(sparse: list[dict[int, int]]) -> list[int]:
             heappush(heap, current)
             continue
         # clear the column by row operations; a remainder needs a new pivot
-        for i in cols[pj] - {pi}:
-            row = rows[i]
-            q = row[pj] // p
-            changed = []
-            for j, x in prow.items():
-                y = row.get(j, 0) - q * x
-                if y:
-                    cols[j].add(i)
-                    row[j] = y
-                    changed.append(j)
-                elif j in row:
-                    del row[j]
-                    cols[j].discard(i)
-            for j in changed:
-                heappush(heap, key(i, j, row))
+        for i, j in clear_column(pi, pj):
+            heappush(heap, key(i, j, rows[i]))
         if len(cols[pj]) > 1:
             heappush(heap, current)
             continue

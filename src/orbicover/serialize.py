@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any
 
 from .coxeter import DefiningGraph, GroupPresentation
 from .covers import CoverReport, CoveringMap
@@ -345,47 +345,44 @@ def compare_report_to_json(report: dict) -> dict:
 def dumps(data: Any) -> str:
     """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
     for trees whose dict keys are all strings.  CPython indents only in its
-    pure-Python encoder; this writer emits the same tokens at a fraction of
-    its cost."""
-    out: list[str] = []
-    _write(data, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
+    pure-Python encoder.  This writer joins each list or dict into one string
+    as soon as it is written, so it peaks at about twice the text."""
+    return _write(data, "", "\n", "\n")
 
 
-def _write(o: Any, newline: str, emit: Callable[[str], None]) -> None:
-    """Append ``o``'s tokens; ``newline`` is a line break and the current
-    indentation, which each nested container deepens by two spaces."""
+def _write(o: Any, head: str, newline: str, tail: str) -> str:
+    """``head``, ``o``'s text and ``tail`` as one string.  A container writes
+    each item into a fresh list as one string, an int with its separator and
+    key, any other item through this function, and joins the list once.
+    ``newline`` is a line break and the current indentation."""
     if isinstance(o, str):
-        emit(encode_basestring_ascii(o))
-    elif type(o) is int:
-        emit(int.__repr__(o))
-    elif isinstance(o, (list, tuple)):
+        return head + encode_basestring_ascii(o) + tail
+    if type(o) is int:
+        return head + int.__repr__(o) + tail
+    inner = newline + "  "
+    comma, part = "," + inner, []
+    if isinstance(o, (list, tuple)):
         if not o:
-            emit("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
+            return head + "[]" + tail
+        sep = head + "[" + inner
         for item in o:
-            emit(sep)
-            _write(item, inner, emit)
-            sep = "," + inner
-        emit(newline + "]")
+            part.append(f"{sep}{item}" if type(item) is int else _write(item, sep, inner, ""))
+            sep = comma
+        part.append(newline + "]" + tail)
     elif isinstance(o, dict):
         if not o:
-            emit("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
+            return head + "{}" + tail
+        sep = head + "{" + inner
         for key in sorted(o):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(sep + encode_basestring_ascii(key) + ": ")
-            _write(o[key], inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
+            label, item = f"{sep}{encode_basestring_ascii(key)}: ", o[key]
+            part.append(f"{label}{item}" if type(item) is int else _write(item, label, inner, ""))
+            sep = comma
+        part.append(newline + "}" + tail)
     else:  # bool, None, float: one token, as the encoder writes it
-        emit(json.dumps(o))
+        return head + json.dumps(o) + tail
+    return "".join(part)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

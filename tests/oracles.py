@@ -3,8 +3,9 @@
 Deliberately reimplemented from first principles: a full weighted cell
 decomposition for Euler characteristics, determinantal divisors for Smith
 normal form, all-permutations search for marked graph and normal form
-isomorphism, all-subsets clique removal for one-endedness, and index-2
-Reidemeister-Schreier rewriting for H_1 of a double cover.
+isomorphism, all-subsets clique removal for one-endedness, index-2
+Reidemeister-Schreier rewriting for H_1 of a double cover, and the cellular
+chain complex for H_1 of a torsion-free complex.
 """
 
 from __future__ import annotations
@@ -459,3 +460,46 @@ def reidemeister_schreier_h1(base: Orbicomplex, phi: TwoTorsionLabeling) -> Abel
     relators.append(((f"{u}@0", 1),))
     gens = tuple(f"{g}@{k}" for g in pres.generators for k in (0, 1))
     return abelianization(GroupPresentation(gens, tuple(relators)))
+
+
+def cellular_homology(c: Orbicomplex) -> tuple[tuple[int, int, int], int, AbelianInvariants]:
+    """The cell counts (n_0, n_1, n_2), b_0 and H_1 of a torsion-free
+    complex, every segment of it attached, from its cellular chain complex
+    (Hatcher, Algebraic Topology, 2002, section 2.2), with sympy for ranks
+    and invariant factors.  C_0 holds the graph vertices.  C_1 holds the
+    graph edges, 2g handle loops per piece of genus g, and one arc per
+    boundary circle after the first, from circle 0's first junction to that
+    circle's.  C_2 holds one cell per piece, whose boundary is the signed sum
+    of its segments' attachment edges: handles and arcs cancel."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    assert all(mark is None for mark in c.graph.marks.values()), "a vertex has a local group"
+    assert all(not p.cones and not p.has_mirrors for p in c.pieces), "a piece has cones or mirrors"
+    assert all((p.id, ci, si) in c.attachments for p in c.pieces for ci, si, _k in p.segments())
+    vertices = {v: k for k, v in enumerate(sorted(c.graph.marks))}
+    edges = {e: k for k, e in enumerate(sorted(c.graph.edges))}
+    d1 = [[0] * len(vertices) for _ in edges]  # boundary map 1 transposed: a row per 1-cell
+    for e, (u, v) in c.graph.edges.items():
+        d1[edges[e]][vertices[u]] -= 1
+        d1[edges[e]][vertices[v]] += 1
+    d2 = []
+    for p in c.pieces:
+        d1 += [[0] * len(vertices) for _ in range(2 * p.genus)]
+        start = c.seg_endpoints((p.id, 0, 0))[0]
+        for ci in range(1, len(p.boundary)):
+            arc = [0] * len(vertices)
+            arc[vertices[start]] -= 1
+            arc[vertices[c.seg_endpoints((p.id, ci, 0))[0]]] += 1
+            d1.append(arc)
+        cell = [0] * len(d1)
+        for ci, si, _kind in p.segments():
+            e, d = c.attachments[(p.id, ci, si)]
+            cell[edges[e]] += d
+        d2.append(cell)
+    n0, n1, n2 = len(vertices), len(d1), len(d2)
+    d2 = [cell + [0] * (n1 - len(cell)) for cell in d2]
+    rank1 = Matrix(d1).rank() if n1 else 0
+    factors = [abs(int(x)) for x in invariant_factors(Matrix(d2), domain=ZZ) if x] if n2 else []
+    b1 = n1 - rank1 - len(factors)
+    return (n0, n1, n2), n0 - rank1, AbelianInvariants(b1, tuple(d for d in factors if d > 1))

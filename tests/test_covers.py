@@ -850,9 +850,9 @@ def _counted_full_walks(monkeypatch) -> list[str]:
     walked = []
     full_walk = covers._piece_boundary_violations
 
-    def counted(f, src_piece, tgt_piece):
+    def counted(f, src_piece, *rest):
         walked.append(src_piece.id)
-        return full_walk(f, src_piece, tgt_piece)
+        return full_walk(f, src_piece, *rest)
 
     monkeypatch.setattr(covers, "_piece_boundary_violations", counted)
     return walked

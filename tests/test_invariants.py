@@ -30,6 +30,7 @@ from orbicover.orbicore import (
 
 from oracles import (
     brute_force_normal_form_iso,
+    cellular_homology,
     random_normal_form,
     reidemeister_schreier_h1,
     relabeled_normal_form,
@@ -304,6 +305,16 @@ def test_presentation_size_matches_euler_for_torsion_free(chain):
     for hat in (chain.y_hat, chain.z_hat):
         pres = fundamental_group_presentation(hat)
         assert len(pres.generators) - len(pres.relators) == 1 - euler_characteristic(hat) == 145
+
+
+def test_cellular_h1_of_the_torsion_free_covers(chain):
+    # H_1 from the cells, without the presentation; the cell count n0 - n1 + n2
+    # is the Euler characteristic that the quarter rule computes
+    for hat in (chain.y_hat, chain.z_hat):
+        cells, b0, h1 = cellular_homology(hat)
+        assert (cells, b0, h1) == ((32, 188, 12), 1, AbelianInvariants(152, ()))
+        assert h1 == abelianization(fundamental_group_presentation(hat))
+        assert cells[0] - cells[1] + cells[2] == euler_characteristic(hat)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from orbicover import covers, coxeter, invariants, serialize
 from orbicover.invariants import AbelianInvariants
 from orbicover.orbicore import euler_characteristic
 
-from oracles import random_branched_graph, reidemeister_schreier_h1
+from oracles import cellular_homology, random_branched_graph, reidemeister_schreier_h1
 
 
 def _h1(c):
@@ -60,3 +60,15 @@ def test_reidemeister_schreier_h1_of_generated_double_covers(seed):
     covered += [(cover, phi, cx) for phi, cx, _fm in covers.enumerate_double_covers(cover)]
     for b, phi, x in covered:
         assert reidemeister_schreier_h1(b, phi) == _h1(x)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cellular_h1_of_a_generated_hat(seed):
+    # the torsion-free degree-4 cover is a 2-complex: its cells give H_1 and
+    # the Euler characteristic by a second route
+    base = coxeter.davis_orbicomplex(random_branched_graph(random.Random(seed)))
+    hat, _f = covers.torsion_free_cover(covers.davis_double_cover(base)[0])
+    cells, b0, h1 = cellular_homology(hat)
+    assert b0 == 1
+    assert h1 == _h1(hat)
+    assert cells[0] - cells[1] + cells[2] == euler_characteristic(hat)

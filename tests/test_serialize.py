@@ -3,12 +3,13 @@ which it replaces: on any tree of strings, ints, floats, booleans, None,
 lists, tuples and string-keyed dicts the bytes must be the same."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbicover import serialize
-from orbicover.covers import verify_covering
+from orbicover.covers import compose, verify_covering
 
 
 def _reference(data) -> str:
@@ -56,3 +57,18 @@ def test_dumps_matches_on_every_tower_output(chain, covering_maps, demo_report):
 def test_dumps_refuses_a_key_that_is_not_a_string():
     with pytest.raises(TypeError, match="^keys must be str, not int$"):
         serialize.dumps({1: "one"})
+
+
+def test_dumps_peaks_at_about_twice_the_text(chain):
+    # each list or dict is joined once as it is written, so no document is
+    # held as one string per token; sizes are fixed, so the peak is too
+    maps = [chain.y_hat_map, chain.map2, compose(chain.y_hat_map, chain.y_map)]
+    for doc in map(serialize.covering_map_to_json, maps):
+        text = serialize.dumps(doc)
+        tracemalloc.start()
+        try:
+            serialize.dumps(doc)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
