@@ -5,7 +5,6 @@ form used to certify homotopy equivalence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Optional
 
@@ -55,18 +54,16 @@ class AbelianInvariants:
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix, positive.
 
-    Sparse elimination over {column: entry} rows (Havas and Majewski 1997).
-    Unit pivots go first, from a worklist: each clears its column exactly
-    and leaves as a 1.  Then each singleton row d*e_c reduces the rest of
-    column c mod d, and leaves as |d| once it is alone in its column.
-
-    The rest wait in a lazy min-heap keyed (|entry|, Markowitz cost, row,
-    column).  An entry whose value a step changes is pushed again, so every
-    live entry keeps a key with its current |value| and only the Markowitz
-    half of a key can go stale; a popped key whose entry is gone is dropped,
-    and one that differs from its entry's current key is pushed back
-    re-keyed.  Each pivot is thus an entry of least |value|.  The diagonal is
-    regrouped by (gcd, lcm) pairs.
+    Sparse elimination over {column: entry} rows (Havas and Majewski 1997),
+    in rounds of two passes.  Unit pivots go first, from a worklist: each
+    clears its column exactly and leaves as a 1.  Then each singleton row
+    d*e_c clears the multiples of d from column c, reduces the column's
+    entries larger than |d| mod d, and leaves as |d| once alone in it.
+    When entries remain, one of least |value| (then row, then column)
+    clears its column by row operations and, if then alone there, reduces
+    its row mod itself by column operations, leaving an entry below the
+    least |value| or a singleton.  The singleton pass makes no entry
+    larger, so the rounds end.  The diagonal is regrouped by (gcd, lcm).
     """
     return _invariant_factors([{j: x for j, x in enumerate(row) if x} for row in matrix])
 
@@ -78,9 +75,6 @@ def _invariant_factors(sparse: list[dict[int, int]]) -> list[int]:
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-
-    def key(i: int, j: int, row: dict[int, int]):
-        return (abs(row[j]), (len(row) - 1) * (len(cols[j]) - 1), i, j)
 
     def clear_column(pi: int, pj: int) -> list[tuple[int, int]]:
         """Row operations by pivot (pi, pj) that leave only remainders in
@@ -102,66 +96,50 @@ def _invariant_factors(sparse: list[dict[int, int]]) -> list[int]:
         return changed
 
     diagonal = []
-    # unit pivots clear their columns exactly and leave as 1s
-    units = [(i, j) for i, row in rows.items() for j, x in row.items() if x in (1, -1)]
-    while units:
-        pi, pj = units.pop()
-        if rows.get(pi, {}).get(pj) in (1, -1):
-            units += [(i, j) for i, j in clear_column(pi, pj) if rows[i][j] in (1, -1)]
-            for j in rows.pop(pi):
-                cols[j].discard(pi)
-            del cols[pj]
-            diagonal.append(1)
-    # a singleton row d*e_j reduces the rest of column j mod d, touching
-    # column j alone, and leaves as |d| once it is alone in its column
-    singles = [i for i, row in rows.items() if len(row) == 1]
-    for pi in singles:
-        if len(rows.get(pi, ())) == 1:
-            [(pj, d)] = rows[pi].items()
-            for i in cols[pj] - {pi}:
-                row = rows[i]
-                row[pj] %= d
-                if not row[pj]:
-                    del row[pj]
-                    cols[pj].discard(i)
-                    singles.append(i)
-            if cols[pj] == {pi}:
-                diagonal.append(abs(d))
-                del rows[pi], cols[pj]
-    heap = [key(i, j, row) for i, row in rows.items() for j in row]
-    heapify(heap)
-    while heap:
-        popped = heappop(heap)
-        pi, pj = popped[2:]
-        prow = rows.get(pi)
-        if prow is None or pj not in prow:
-            continue
-        p = prow[pj]
-        current = key(pi, pj, prow)
-        if current != popped:
-            heappush(heap, current)
-            continue
-        # clear the column by row operations; a remainder needs a new pivot
-        for i, j in clear_column(pi, pj):
-            heappush(heap, key(i, j, rows[i]))
-        if len(cols[pj]) > 1:
-            heappush(heap, current)
-            continue
-        # clear the row by column operations, which touch only this row
-        for j in [j for j in prow if j != pj]:
-            prow[j] %= p
-            if not prow[j]:
-                del prow[j]
-                cols[j].discard(pi)
-        if len(prow) == 1:
-            diagonal.append(abs(p))
-            del rows[pi], cols[pj]
-        else:
-            # every entry needs a key: the pivot's was popped, and each other
-            # entry was at least |p| in absolute value, so reducing it mod p
-            # changed it
-            for j in prow:
-                heappush(heap, key(pi, j, prow))
+    while True:
+        # unit pivots clear their columns exactly and leave as 1s
+        units = [(i, j) for i, row in rows.items() for j, x in row.items() if x in (1, -1)]
+        while units:
+            pi, pj = units.pop()
+            if rows.get(pi, {}).get(pj) in (1, -1):
+                units += [(i, j) for i, j in clear_column(pi, pj) if rows[i][j] in (1, -1)]
+                for j in rows.pop(pi):
+                    cols[j].discard(pi)
+                del cols[pj]
+                diagonal.append(1)
+        # a singleton row d*e_j clears the multiples of d from column j and
+        # reduces its entries larger than |d| mod d, touching column j alone;
+        # it leaves as |d| once it is alone in its column
+        singles = [i for i, row in rows.items() if len(row) == 1]
+        for pi in singles:
+            if len(rows.get(pi, ())) == 1:
+                [(pj, d)] = rows[pi].items()
+                for i in cols[pj] - {pi}:
+                    row = rows[i]
+                    if not row[pj] % d:
+                        del row[pj]
+                        cols[pj].discard(i)
+                        singles.append(i)
+                    elif abs(row[pj]) > abs(d):
+                        row[pj] %= d
+                if cols[pj] == {pi}:
+                    diagonal.append(abs(d))
+                    del rows[pi], cols[pj]
+        # an entry of least |value| clears its column by row operations;
+        # alone there, it reduces its row mod itself by column operations
+        least = min(((abs(x), i, j) for i, row in rows.items() for j, x in row.items()), default=None)
+        if least is None:
+            break
+        _, pi, pj = least
+        clear_column(pi, pj)
+        if cols[pj] == {pi}:
+            prow = rows[pi]
+            p = prow[pj]
+            for j in [j for j in prow if j != pj]:
+                prow[j] %= p
+                if not prow[j]:
+                    del prow[j]
+                    cols[j].discard(pi)
     chain: list[int] = []
     for d in sorted(diagonal):
         if chain and d % chain[-1]:

@@ -107,8 +107,14 @@ def test_cmd_racg_triangle_exits_three(tmp_path, capsys):
         # undecodable bytes and deep nesting used to exit 1 with a traceback
         b"\xff\xfe{}",
         b"[" * 200_000,
+        # "loop at 'a'" and "edge ('a', 'z') has unknown endpoint"
+        '{"vertices": ["a", "b"], "edges": [["a", "a"]]}',
+        '{"vertices": ["a"], "edges": [["a", "z"]]}',
     ],
-    ids=["not-json", "integer-ids", "mixed-ids", "boolean-ids", "not-utf8", "deep-nesting"],
+    ids=[
+        "not-json", "integer-ids", "mixed-ids", "boolean-ids", "not-utf8", "deep-nesting",
+        "loop-edge", "unknown-endpoint",
+    ],
 )
 def test_cmd_parse_error(tmp_path, capsys, cmd, text):
     path = tmp_path / "bad.json"
@@ -171,6 +177,18 @@ def _empty_circle(data):
     data["pieces"].append({"id": "empty", "boundary": [[]]})
 
 
+def _negative_genus(data):
+    data["pieces"][0]["genus"] = -1
+
+
+def _mirrored_genus_one(data):
+    data["pieces"][0]["genus"] = 1
+
+
+def _mirrored_second_circle(data):
+    data["pieces"][0]["boundary"].append(["free"])
+
+
 def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
     # a negative index must not alias the last segment or circle
     for mutate, violation in (
@@ -178,6 +196,9 @@ def test_cmd_euler_unknown_segment_kind_exits_three(tmp_path, capsys):
         (_last_segment_minus_one, "UnknownSegment:"),
         (_circle_minus_one, "UnknownSegment:"),
         (_empty_circle, "EmptyBoundaryCircle"),
+        (_negative_genus, "NegativeGenus"),
+        (_mirrored_genus_one, "MirrorOnPositiveGenus"),
+        (_mirrored_second_circle, "MirrorMultiCircle"),
     ):
         data = _demo_complex_json()
         mutate(data)
@@ -250,6 +271,13 @@ def test_cmd_pi1_ab(demo_graph_file, tmp_path, capsys):
     assert run_cli("pi1", str(out_file), "--ab") == 0
     out = capsys.readouterr().out
     assert out.count("Z/2") == 25
+
+
+def test_cmd_pi1_ab_prints_the_free_rank(chain, tmp_path, capsys):
+    path = tmp_path / "y_hat.json"
+    path.write_text(serialize.dumps(orbicomplex_to_json(chain.y_hat)))
+    assert run_cli("pi1", str(path), "--ab") == 0
+    assert capsys.readouterr().out == "Z^152\n"
 
 
 @pytest.mark.parametrize("name", ["base", "y"])

@@ -1,5 +1,6 @@
 import copy
 import random
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -72,6 +73,18 @@ def test_snf_zero_matrix():
 def test_snf_divisibility_chain_example():
     factors = smith_normal_form([[2, 0], [0, 3]])
     assert factors == [1, 6]
+
+
+def test_snf_singleton_pass_never_grows_an_entry():
+    # after the unit pivot, the pivot 5 leaves a 2 in the column of the
+    # singleton -10*e_2; reducing it to 2 mod -10 = -8 would make the rounds
+    # cycle, so the call runs on a thread with a time limit
+    result = []
+    m = [[2, 6, -6], [-1, 2, -1], [3, -1, 4]]
+    worker = threading.Thread(target=lambda: result.append(smith_normal_form(m)), daemon=True)
+    worker.start()
+    worker.join(10)
+    assert result == [[1, 1, 50]]
 
 
 def _is_chain(factors):
@@ -220,6 +233,11 @@ def test_abelianization_keeps_zero_exponent_sums_out_of_its_rows(monkeypatch):
     conjugate = GroupPresentation(("a", "b"), ((("a", 1), ("b", 1), ("a", -1)),))
     assert abelianization(conjugate) == AbelianInvariants(1, ())
     assert seen == [[{}], [{1: 1}]]
+
+
+def test_abelian_invariants_text():
+    assert str(AbelianInvariants(1, (2,))) == "Z x Z/2"
+    assert str(AbelianInvariants(0, ())) == "0"
 
 
 _LETTERS = ("a", "b", "c", "d")
