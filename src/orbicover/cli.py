@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import coxeter, covers, invariants, orbicore, pipeline, serialize
-from .orbicore import OrbicoverError
+from .graphs import OrbicoverError
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -8,15 +8,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .orbicore import (
-    FREE,
-    MIRROR,
-    MarkedGraph,
-    Orbicomplex,
-    OrbicoverError,
-    Piece,
-    wall_mark,
-)
+from .graphs import MarkedGraph, OrbicoverError, wall_mark
+from .orbicore import FREE, MIRROR, Orbicomplex, Piece
 
 
 class NoEssentialVertices(OrbicoverError):

@@ -9,22 +9,24 @@ from math import gcd, lcm
 from typing import Optional
 
 from .coxeter import GroupPresentation, Word
-from .orbicore import (
-    MIRROR,
+from .graphs import (
     MalformedRotation,
     MarkedGraph,
-    Orbicomplex,
     OrbicoverError,
-    _canonical_cycle,
-    attachment_circuit,
     is_wall,
-    euler_characteristic,
     iter_marked_graph_isomorphisms,
     marked_graph_isomorphism,
     reverse_walk,
     ribbon_neighborhood,
-    singular_subspace,
     topological_form,
+)
+from .orbicore import (
+    MIRROR,
+    Orbicomplex,
+    _canonical_cycle,
+    attachment_circuit,
+    euler_characteristic,
+    singular_subspace,
 )
 
 

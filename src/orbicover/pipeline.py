@@ -17,10 +17,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import coxeter, covers, invariants, orbicore
-from .covers import CoveringMap
 from .coxeter import DefiningGraph
+from .graphs import RAM2, MarkedGraph
 from .invariants import AbelianInvariants
-from .orbicore import MarkedGraph, Orbicomplex, RAM2
+from .orbicore import Orbicomplex
+from .verify import CoveringMap
 
 
 class DemoFailure(orbicore.OrbicoverError):

@@ -6,13 +6,15 @@ and reports are only written."""
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .coxeter import DefiningGraph, GroupPresentation
-from .covers import CoverReport, CoveringMap
+from .graphs import RAM2, MarkedGraph, is_wall, wall_mark
 from .invariants import AbelianInvariants
-from .orbicore import MarkedGraph, Orbicomplex, Piece, RAM2, is_wall, wall_mark
+from .orbicore import Orbicomplex, Piece
+from .verify import CoverReport, CoveringMap
 
 
 class SchemaError(ValueError):
@@ -33,10 +35,17 @@ def _int(value, what: str) -> int:
 
 
 def _str(value, what: str) -> str:
-    """A JSON string, exactly: every id and wall label is one."""
+    """A JSON string, exactly: every id and wall label is one.  It is
+    interned, so each id read many times is held once."""
     if type(value) is not str:
         raise SchemaError(f"{what}: expected a string, got {value!r}")
-    return value
+    return sys.intern(value)
+
+
+def _kind(value):
+    """A segment kind as given: a string is interned, anything else is left
+    for validation to refuse."""
+    return sys.intern(value) if type(value) is str else value
 
 
 def _obj(value, what: str) -> dict:
@@ -172,7 +181,7 @@ def piece_from_json(data: dict) -> Piece:
         id=_str(_need(data, "id"), "piece id"),
         genus=_int(data.get("genus", 0), "genus"),
         boundary=tuple(
-            tuple(_list(c, "boundary circle")) for c in _list(data.get("boundary", []), "boundary")
+            tuple(map(_kind, _list(c, "boundary circle"))) for c in _list(data.get("boundary", []), "boundary")
         ),
         cones=tuple(_int(m, "cone order") for m in _list(data.get("cones", []), "cones")),
     )
@@ -291,15 +300,16 @@ def covering_map_from_json(data: dict) -> CoveringMap:
         for e, path in _obj(data.get("edge_map", {}), "edge_map").items()
     }
     piece_map, segment_map, cone_fibers = {}, {}, {}
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct step
     for p, value in _obj(data.get("piece_map", {}), "piece_map").items():
         q, l = _list(value, "piece_map value", 2)
         piece_map[p] = (_str(q, "piece_map value"), _int(l, "local degree"))
     for sd in _list(data.get("segment_map", []), "segment_map"):
         sd = _obj(sd, "segment_map entry")
-        steps = [
-            (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
-            for a, b, d in _rows(_need(sd, "steps"), "segment step", 3)
-        ]
+        steps = []
+        for a, b, d in _rows(_need(sd, "steps"), "segment step", 3):
+            step = (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
+            steps.append(shared.setdefault(step, step))
         _put(segment_map, _segment_ref(sd), steps, "segment_map entry")
     for cd in _list(data.get("cone_fibers", []), "cone_fibers"):
         cd = _obj(cd, "cone_fibers entry")

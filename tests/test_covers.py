@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicover import covers, orbicore, serialize
+from orbicover import covers, orbicore, serialize, verify
 from orbicover.covers import (
     BadGenus,
     CoveringMap,
@@ -848,13 +848,13 @@ def test_verifier_witness_text(chain):
 def _counted_full_walks(monkeypatch) -> list[str]:
     """The source pieces ``verify_covering`` walks in full, as it walks them."""
     walked = []
-    full_walk = covers._piece_boundary_violations
+    full_walk = verify._piece_boundary_violations
 
     def counted(f, src_piece, *rest):
         walked.append(src_piece.id)
         return full_walk(f, src_piece, *rest)
 
-    monkeypatch.setattr(covers, "_piece_boundary_violations", counted)
+    monkeypatch.setattr(verify, "_piece_boundary_violations", counted)
     return walked
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicover import covers, invariants, orbicore, serialize
+from orbicover import covers, graphs, invariants, orbicore, serialize
 from orbicover.orbicore import (
     FREE,
     MIRROR,
@@ -251,6 +251,29 @@ def test_validate_lists_each_unknown_segment_kind_once(bad):
             Piece(id="a", boundary=(("free",), ("free", bad, "free"))),
         ])
     assert str(exc.value) == str(Violation("UnknownSegmentKind", f"a circle 1 segment 1: {bad!r}"))
+
+
+def test_validate_lists_attachment_violations_in_segment_order():
+    # entered out of order, one failing attachment of each kind is listed
+    # by its segment, before the multiplicities
+    with pytest.raises(orbicore.InvalidComplex) as exc:
+        Orbicomplex(
+            pieces=[polygon_piece(3), disk_with_cones("d", 2, n_segments=2)],
+            graph=MarkedGraph(marks={"u": None, "v": None}, edges={"e": ("u", "v")}),
+            attachments={
+                ("q", 0, 0): ("e", 1),
+                ("p", 0, 2): ("e", 1),
+                ("d", 0, 1): ("e", 0),
+                ("d", 0, 0): ("nope", 1),
+            },
+        )
+    assert str(exc.value).split("; ") == [
+        "DanglingAttachment: ('d', 0, 0) -> 'nope'",
+        "BadDirection: ('d', 0, 1) -> 0",
+        "MirrorAttached: ('p', 0, 2)",
+        "UnknownSegment: ('q', 0, 0)",
+        "WrongMultiplicity: e: stored 3, attached 0",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +651,7 @@ def test_planar_normal_form_walks_the_graph_once(chain, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(MarkedGraph, "components", counted("components", MarkedGraph.components))
-    monkeypatch.setattr(orbicore, "check_rotation", counted("check_rotation", orbicore.check_rotation))
+    monkeypatch.setattr(graphs, "check_rotation", counted("check_rotation", graphs.check_rotation))
     invariants.planar_normal_form(chain.y)
     assert sorted(calls) == ["check_rotation", "components"]
 

@@ -72,3 +72,18 @@ def test_dumps_peaks_at_about_twice_the_text(chain):
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_parsed_map_holds_each_id_and_step_once(chain):
+    # the reader interns every string and keeps one tuple per distinct step
+    f = compose(chain.y_hat_map, chain.y_map)
+    text = serialize.dumps(serialize.covering_map_to_json(f))
+    parsed = serialize.covering_map_from_json(json.loads(text))
+    for c in (parsed.source, parsed.target):
+        ids = {pid: pid for pid in c.pieces_by_id}
+        assert all(pid is ids[pid] for pid, _ci, _si in c.attachments)
+    steps: dict[tuple, tuple] = {}
+    for path in parsed.segment_map.values():
+        for step in path:
+            assert steps.setdefault(step, step) is step
+    assert len(steps) < sum(map(len, parsed.segment_map.values()))
