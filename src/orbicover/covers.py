@@ -26,7 +26,7 @@ from .orbicore import (
     SegRef,
     _canonical_cycle,
     attachment_circuit,
-    piece_orbifold_euler,
+    sharer,
 )
 from .verify import CoveringMap, Step
 
@@ -150,7 +150,7 @@ def _smoothed_walls(c: Orbicomplex, phi: TwoTorsionLabeling) -> dict[str, str]:
     return out
 
 
-Segment = tuple[str, list[Step], Optional[tuple[str, int]]]  # kind, steps, attachment
+Segment = tuple[str, tuple[Step, ...], Optional[tuple[str, int]]]  # kind, steps, attachment
 
 
 def _join_at_walls(
@@ -226,45 +226,49 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     graph.marks[names[(v, s)]] = mark
     vertex_map = {name: v for (v, _s), name in names.items() if v not in smoothed}
 
-    edge_map: dict[str, list[tuple[str, int]]] = {}
+    # one object per lifted edge id, path, shape and attachment value
+    edge_name = {(e, s): f"{e}.{s}" for e in c.graph.edges for s in (0, 1)}
+    share = sharer()
+    edge_map: dict[str, tuple[tuple[str, int], ...]] = {}
     joins: dict[tuple[str, int], tuple[str, int]] = {}
     for e, (u, v) in sorted(c.graph.edges.items()):
         lifts = [(names[(u, s)], names[(v, s ^ phi.edge(e))]) for s in (0, 1)]
         w = wall_of.get(e)
         if w is None:
+            path = ((e, 1),)
             for s in (0, 1):
-                graph.edges[f"{e}.{s}"] = lifts[s]
-                edge_map[f"{e}.{s}"] = [(e, 1)]
+                graph.edges[edge_name[e, s]] = lifts[s]
+                edge_map[edge_name[e, s]] = path
             continue
         # one edge through the smoothed wall w: in along one lift, out along the other
         into = 1 if v == w else -1
         tail = 0 if into == 1 else 1
-        graph.edges[f"c.{w}"] = (lifts[0][tail], lifts[1][tail])
-        edge_map[f"c.{w}"] = [(e, into), (e, -into)]
-        joins[(f"{e}.0", into)] = (f"c.{w}", 1)
-        joins[(f"{e}.1", into)] = (f"c.{w}", -1)
+        name = f"c.{w}"
+        graph.edges[name] = (lifts[0][tail], lifts[1][tail])
+        edge_map[name] = ((e, into), (e, -into))
+        joins[(edge_name[e, 0], into)] = (name, 1)
+        joins[(edge_name[e, 1], into)] = (name, -1)
 
     pieces: list[Piece] = []
     attachments: dict[SegRef, tuple[str, int]] = {}
     piece_map: dict[str, tuple[str, int]] = {}
-    segmap: dict[SegRef, list[Step]] = {}
+    segmap: dict[SegRef, tuple[Step, ...]] = {}
     cone_fibers: dict[tuple[str, int], list[tuple]] = {}
 
     def install(
         pid: str, base: Piece, genus: int, circles: list[list[Segment]],
         cones: tuple[int, ...], local_degree: int,
-    ) -> Piece:
+    ) -> None:
         circles = [_join_at_walls(circ, joins) for circ in circles]
         boundary = tuple(tuple(kind for kind, _steps, _att in circ) for circ in circles)
-        piece = Piece(pid, genus, boundary, cones)
-        pieces.append(piece)
+        pieces.append(Piece(pid, genus, share(boundary), share(cones)))
         piece_map[pid] = (base.id, local_degree)
         for ci, circ in enumerate(circles):
             for si, (_kind, steps, att) in enumerate(circ):
-                segmap[(pid, ci, si)] = steps
+                ref = (pid, ci, si)
+                segmap[ref] = share(steps)
                 if att is not None:
-                    attachments[(pid, ci, si)] = att
-        return piece
+                    attachments[ref] = att
 
     problems: list[str] = []
     for p in c.pieces:
@@ -279,8 +283,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                 e, d = att
                 tail_sheet = sheet ^ (h[si] if direction == 1 else h[si + 1])
                 i = tail_sheet if d * direction == 1 else tail_sheet ^ phi.edge(e)
-                att = (f"{e}.{i}", d * direction)
-            return (circle[si], [(0, si, direction)], att)
+                att = share((edge_name[e, i], d * direction))
+            return (circle[si], share(((0, si, direction),)), att)
 
         def lift_to_two_copies() -> None:
             for s in (0, 1):
@@ -312,9 +316,8 @@ def double_cover(c: Orbicomplex, phi: TwoTorsionLabeling) -> tuple[Orbicomplex, 
                     circ[-1] = (MIRROR, circ[-1][1] + steps, None)
                 else:
                     circ.append((kind, steps, att))
-            cover = install(f"{p.id}.01", p, 0, [circ], (2,) * (len(glued) - 1), 2)
-            # genus bookkeeping: two disks glued along arcs stay planar
-            assert piece_orbifold_euler(cover) == 2 * piece_orbifold_euler(p), p.id
+            # two disks glued along arcs stay planar
+            install(f"{p.id}.01", p, 0, [circ], (2,) * (len(glued) - 1), 2)
         else:
             cone_vals = [phi.cone(p.id, j) for j in range(len(p.cones))]
             parity, cone_parity = h[-1], sum(cone_vals) % 2

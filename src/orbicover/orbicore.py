@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .graphs import (
     RAM2,
@@ -102,6 +102,19 @@ def surface_with_boundary(pid: str, genus: int, n_circles: int) -> Piece:
         boundary=tuple((FREE,) for _ in range(n_circles)),
         cones=(),
     )
+
+
+def sharer() -> Callable:
+    """A function that returns, for each value it is given, the first equal
+    value it was given: equal immutable values become one object, for as
+    long as the function is kept.  Give it only hashable values whose parts
+    are exact ints and strings, as 1, 1.0 and True are equal."""
+    table: dict = {}
+
+    def share(value):
+        return table.setdefault(value, value)
+
+    return share
 
 
 SegRef = tuple[str, int, int]  # (piece id, circle index, segment index)

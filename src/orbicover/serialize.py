@@ -13,7 +13,7 @@ from typing import Any
 from .coxeter import DefiningGraph, GroupPresentation
 from .graphs import RAM2, MarkedGraph, is_wall, wall_mark
 from .invariants import AbelianInvariants
-from .orbicore import Orbicomplex, Piece
+from .orbicore import Orbicomplex, Piece, sharer
 from .verify import CoverReport, CoveringMap
 
 
@@ -176,15 +176,23 @@ def piece_to_json(p: Piece) -> dict:
 
 
 def piece_from_json(data: dict) -> Piece:
+    return _piece_from_json(data, sharer())
+
+
+def _piece_from_json(data: dict, share) -> Piece:
+    """A piece whose boundary and cones go through ``share`` once their
+    items are checked: a boundary with a kind that is not a string is left
+    for validation to refuse, and is not hashed."""
     data = _obj(data, "piece")
-    return Piece(
-        id=_str(_need(data, "id"), "piece id"),
-        genus=_int(data.get("genus", 0), "genus"),
-        boundary=tuple(
-            tuple(map(_kind, _list(c, "boundary circle"))) for c in _list(data.get("boundary", []), "boundary")
-        ),
-        cones=tuple(_int(m, "cone order") for m in _list(data.get("cones", []), "cones")),
+    pid = _str(_need(data, "id"), "piece id")
+    genus = _int(data.get("genus", 0), "genus")
+    boundary = tuple(
+        tuple(map(_kind, _list(c, "boundary circle"))) for c in _list(data.get("boundary", []), "boundary")
     )
+    if all(type(kind) is str for circle in boundary for kind in circle):
+        boundary = share(boundary)
+    cones = tuple(_int(m, "cone order") for m in _list(data.get("cones", []), "cones"))
+    return Piece(pid, genus, boundary, share(cones))
 
 
 def rotation_to_json(rotation) -> Any:
@@ -197,7 +205,7 @@ def rotation_from_json(data) -> Any:
     if data is None:
         return None
     return {
-        v: [
+        _str(v, "rotation vertex"): [
             (_str(e, "rotation edge"), _int(end, "rotation end"))
             for e, end in _rows(cyc, "rotation dart", 2)
         ]
@@ -225,14 +233,20 @@ def orbicomplex_to_json(c: Orbicomplex) -> dict:
 
 def orbicomplex_from_json(data: dict) -> Orbicomplex:
     """The complex ``data`` describes, validated as it is built."""
+    return _orbicomplex_from_json(data, sharer())
+
+
+def _orbicomplex_from_json(data: dict, share) -> Orbicomplex:
+    """The complex ``data`` describes, with each checked boundary, cones
+    tuple, attachment key and attachment value passed through ``share``."""
     data = _obj(data, "orbicomplex")
-    pieces = [piece_from_json(pd) for pd in _list(_need(data, "pieces"), "pieces")]
+    pieces = [_piece_from_json(pd, share) for pd in _list(_need(data, "pieces"), "pieces")]
     graph = marked_graph_from_json(_need(data, "graph"))
     attachments = {}
     for ad in _list(data.get("attachments", []), "attachments"):
         ad = _obj(ad, "attachment")
         att = (_str(_need(ad, "edge"), "attachment edge"), _int(_need(ad, "direction"), "direction"))
-        _put(attachments, _segment_ref(ad), att, "attachment")
+        _put(attachments, share(_segment_ref(ad)), share(att), "attachment")
     return Orbicomplex(
         pieces=pieces,
         graph=graph,
@@ -284,33 +298,36 @@ def _preimage(tok: list) -> tuple:
 
 
 def covering_map_from_json(data: dict) -> CoveringMap:
+    """The map ``data`` describes, with one object per distinct checked
+    boundary, cones tuple, attachment, step and path for this call, so each
+    segment_map key is the equal attachment key of the source."""
     data = _obj(data, "covering map")
-    source = orbicomplex_from_json(_need(data, "source"))
-    target = orbicomplex_from_json(_need(data, "target"))
+    share = sharer()
+    source = _orbicomplex_from_json(_need(data, "source"), share)
+    target = _orbicomplex_from_json(_need(data, "target"), share)
     degree = _int(_need(data, "degree"), "degree")
     vertex_map = {
-        v: _str(w, "vertex_map value")
+        _str(v, "vertex_map key"): _str(w, "vertex_map value")
         for v, w in _obj(data.get("vertex_map", {}), "vertex_map").items()
     }
     edge_map = {
-        e: [
-            (_str(te, "edge path edge"), _int(d, "edge direction"))
+        _str(e, "edge_map key"): share(tuple([
+            share((_str(te, "edge path edge"), _int(d, "edge direction")))
             for te, d in _rows(path, "edge path step", 2)
-        ]
+        ]))
         for e, path in _obj(data.get("edge_map", {}), "edge_map").items()
     }
     piece_map, segment_map, cone_fibers = {}, {}, {}
-    shared: dict[tuple, tuple] = {}  # one tuple per distinct step
     for p, value in _obj(data.get("piece_map", {}), "piece_map").items():
         q, l = _list(value, "piece_map value", 2)
-        piece_map[p] = (_str(q, "piece_map value"), _int(l, "local degree"))
+        piece_map[_str(p, "piece_map key")] = (_str(q, "piece_map value"), _int(l, "local degree"))
     for sd in _list(data.get("segment_map", []), "segment_map"):
         sd = _obj(sd, "segment_map entry")
-        steps = []
-        for a, b, d in _rows(_need(sd, "steps"), "segment step", 3):
-            step = (_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction"))
-            steps.append(shared.setdefault(step, step))
-        _put(segment_map, _segment_ref(sd), steps, "segment_map entry")
+        path = share(tuple([
+            share((_int(a, "step circle"), _int(b, "step segment"), _int(d, "step direction")))
+            for a, b, d in _rows(_need(sd, "steps"), "segment step", 3)
+        ]))
+        _put(segment_map, share(_segment_ref(sd)), path, "segment_map entry")
     for cd in _list(data.get("cone_fibers", []), "cone_fibers"):
         cd = _obj(cd, "cone_fibers entry")
         key = (_str(_need(cd, "piece"), "piece id"), _int(_need(cd, "cone"), "cone index"))

@@ -14,7 +14,7 @@ from .doubles import (
     _require_cone_disk,
 )
 from .graphs import MarkedGraph, OrbicoverError, reverse_walk
-from .orbicore import FREE, Orbicomplex, Piece, disk_with_cones, surface_with_boundary
+from .orbicore import FREE, Orbicomplex, Piece, disk_with_cones, sharer, surface_with_boundary
 from .verify import CoveringMap, MismatchedComplexes, Step
 
 
@@ -95,16 +95,21 @@ def torsion_free_cover(c: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
         if not _fully_attached(c, p):
             raise UnsupportedPiece(f"piece {p.id}: boundary circle not fully attached")
 
+    # one object per lifted id, path, shape, tag and attachment value
+    vname = {(v, j): f"{v}.{j}" for j in range(4) for v in c.graph.vertices()}
+    ename = {(e, j): f"{e}.{j}" for j in range(4) for e in c.graph.edge_ids()}
+    share = sharer()
+
     graph = MarkedGraph()
     vertex_map, edge_map = {}, {}
     for j in range(4):
         for v in c.graph.vertices():
-            graph.marks[f"{v}.{j}"] = c.graph.marks[v]
-            vertex_map[f"{v}.{j}"] = v
+            graph.marks[vname[v, j]] = c.graph.marks[v]
+            vertex_map[vname[v, j]] = v
         for e in c.graph.edge_ids():
             u, v = c.graph.edges[e]
-            graph.edges[f"{e}.{j}"] = (f"{u}.{j}", f"{v}.{j}")
-            edge_map[f"{e}.{j}"] = [(e, 1)]
+            graph.edges[ename[e, j]] = (vname[u, j], vname[v, j])
+            edge_map[ename[e, j]] = share(((e, 1),))
 
     pieces, attachments = [], {}
     piece_map, segmap, cone_fibers = {}, {}, {}
@@ -112,22 +117,20 @@ def torsion_free_cover(c: Orbicomplex) -> tuple[Orbicomplex, CoveringMap]:
         k = len(p.cones)
         t = len(p.boundary[0])
         pid2 = f"{p.id}.hat"
-        cover = Piece(pid2, k - 3, tuple((FREE,) * t for _ in range(4)), ())
+        cover = Piece(pid2, k - 3, share(((FREE,) * t,) * 4), ())
         pieces.append(cover)
         piece_map[pid2] = (p.id, 4)
         for j in range(4):
             for si in range(t):
                 e, d = c.attachments[(p.id, 0, si)]
-                attachments[(pid2, j, si)] = (f"{e}.{j}", d)
-                segmap[(pid2, j, si)] = [(0, si, 1)]
+                ref = (pid2, j, si)
+                attachments[ref] = share((ename[e, j], d))
+                segmap[ref] = share(((0, si, 1),))
         for cj in range(k):
-            cone_fibers[(p.id, cj)] = [
-                ("smooth", pid2, f"s{cj}.0"),
-                ("smooth", pid2, f"s{cj}.1"),
-            ]
+            cone_fibers[(p.id, cj)] = [("smooth", pid2, share(f"s{cj}.{s}")) for s in (0, 1)]
 
     rotation = None if c.rotation is None else {
-        f"{v}.{j}": [(f"{e}.{j}", end) for e, end in cyc]
+        vname[v, j]: [(ename[e, j], end) for e, end in cyc]
         for j in range(4)
         for v, cyc in c.rotation.items()
     }
@@ -159,6 +162,8 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
     if f.target is not g.source and f.target != g.source:
         raise MismatchedComplexes("compose: f.target is not g.source")
 
+    share = sharer()  # one object per distinct path, reversed step and tag
+
     def orient(path: Sequence[tuple[str, int]], d: int) -> Sequence[tuple[str, int]]:
         return path if d == 1 else reverse_walk(path)
 
@@ -167,10 +172,10 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
         out: list[tuple[str, int]] = []
         for be, d in path:
             out.extend(orient(g.edge_map[be], d))
-        edge_map[e] = out
+        edge_map[e] = share(tuple(out))
 
     def orient_steps(steps: Sequence[Step], d: int) -> Sequence[Step]:
-        return steps if d == 1 else [(ci, si, -dd) for ci, si, dd in reversed(steps)]
+        return steps if d == 1 else [share((ci, si, -dd)) for ci, si, dd in reversed(steps)]
 
     segment_map = {}
     for ref, steps in f.segment_map.items():
@@ -179,7 +184,7 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
         out_steps: list[Step] = []
         for (bci, bsi, d) in steps:
             out_steps.extend(orient_steps(g.segment_map[(bpid, bci, bsi)], d))
-        segment_map[ref] = out_steps
+        segment_map[ref] = share(tuple(out_steps))
 
     piece_map = {}
     for pid, (bpid, l1) in f.piece_map.items():
@@ -200,7 +205,7 @@ def compose(f: CoveringMap, g: CoveringMap) -> CoveringMap:
             else:
                 _k, bpid, tag = tok
                 for apid, l in over.get(bpid, []):
-                    out_tokens.extend(("smooth", apid, f"{tag}.{i}") for i in range(l))
+                    out_tokens.extend(("smooth", apid, share(f"{tag}.{i}")) for i in range(l))
         cone_fibers[(cpid, j)] = out_tokens
 
     return CoveringMap(

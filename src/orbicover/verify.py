@@ -37,6 +37,14 @@ class MismatchedComplexes(OrbicoverError):
 Step = tuple[int, int, int]  # (target circle, target segment, direction)
 
 
+def _frozen(path) -> tuple:
+    """``path`` as a tuple of tuples: itself when it is one already, so a
+    path that a builder shares stays one object, else a frozen copy."""
+    if type(path) is tuple and all(type(step) is tuple for step in path):
+        return path
+    return tuple(map(tuple, path))
+
+
 @dataclass(frozen=True)
 class CoveringMap:
     """Checked once, when built, and frozen; a dangling reference raises MismatchedComplexes."""
@@ -53,9 +61,9 @@ class CoveringMap:
     def __post_init__(self):
         for name, table in (
             ("vertex_map", dict(self.vertex_map)),
-            ("edge_map", {e: tuple(map(tuple, path)) for e, path in self.edge_map.items()}),
+            ("edge_map", {e: _frozen(path) for e, path in self.edge_map.items()}),
             ("piece_map", dict(self.piece_map)),
-            ("segment_map", {ref: tuple(map(tuple, path)) for ref, path in self.segment_map.items()}),
+            ("segment_map", {ref: _frozen(path) for ref, path in self.segment_map.items()}),
             ("cone_fibers", {key: tuple(toks) for key, toks in self.cone_fibers.items()}),
         ):
             object.__setattr__(self, name, MappingProxyType(table))

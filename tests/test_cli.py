@@ -568,6 +568,32 @@ def test_cmd_verify_malformed_map_exits_two(chain, tmp_path, capsys, case):
     assert err.startswith("parse error:") and message in err
 
 
+def _source_kind_object(data):
+    data["source"]["pieces"][0]["boundary"][0][0] = {"kind": "free"}
+
+
+def _segment_step_list(data):
+    data["segment_map"][0]["steps"][0][1] = [0]
+
+
+@pytest.mark.parametrize("mutate, code, prefix", [
+    (_source_kind_object, 3, "precondition failed:"),
+    (_segment_step_list, 2, "parse error:"),
+], ids=["kind-object", "step-list"])
+def test_cmd_verify_refuses_an_unhashable_value_cleanly(chain, tmp_path, capsys, mutate, code, prefix):
+    # the reader shares a value only after its type is checked, so a JSON
+    # object or list where a string or int belongs is refused, never hashed
+    data = json.loads(serialize.dumps(covering_map_to_json(chain.map2)))
+    mutate(data)
+    bad_file = tmp_path / "bad_cover.json"
+    bad_file.write_text(serialize.dumps(data))
+    assert run_cli("verify", str(bad_file)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+
+
 # json.load alone keeps the last of two equal keys, so these files used to
 # be read as if the first copy were not there
 _REPEATED_KEYS = {

@@ -185,6 +185,39 @@ def test_map_built_with_list_steps_reads_like_tuples(chain):
     assert serialize.dumps(to_json(listed)) == serialize.dumps(to_json(f))
 
 
+def _distinct_objects(values) -> tuple[int, int]:
+    """(objects, distinct values) among ``values``."""
+    values = list(values)
+    return len({id(v) for v in values}), len(set(values))
+
+
+@pytest.mark.parametrize("name", ["map1", "map2", "y_hat_map", "composite"])
+def test_builders_hold_one_object_per_id_attachment_and_path(chain, name):
+    # double_cover (map1 lifts polygons, map2 cone disks), torsion_free_cover
+    # and compose each make one object per distinct value
+    f = compose(chain.y_hat_map, chain.y_map) if name == "composite" else getattr(chain, name)
+    edge_ids = {e: e for e in f.source.graph.edges}
+    atts = f.source.attachments
+    assert all(edge_ids[e] is e for e, _d in atts.values())
+    assert all(edge_ids[e] is e for e in f.edge_map)
+    keys = {ref: ref for ref in atts}
+    assert all(keys[ref] is ref for ref in f.segment_map if ref in keys)
+    for values in (
+        atts.values(),
+        f.edge_map.values(),
+        f.segment_map.values(),
+        [step for path in f.segment_map.values() for step in path],
+        [p.boundary for p in f.source.pieces],
+        [p.cones for p in f.source.pieces],
+    ):
+        objects, distinct = _distinct_objects(values)
+        assert objects == distinct
+    # a map rebuilt from the same tables keeps their path tuples
+    g = replace(f)
+    assert all(g.segment_map[ref] is path for ref, path in f.segment_map.items())
+    assert all(g.edge_map[e] is path for e, path in f.edge_map.items())
+
+
 def _segment_steps_at_minus_seven():
     # the -1 steps of a reflection double written as -7
     _piece, f = reflection_double(branch_polygon(Branch(("a", "b", "c", "d", "e"))))
@@ -528,6 +561,24 @@ def test_polygon_lift_rule(chain, index):
             assert len(lift.boundary[0]) == 2 * (n + 2 - len(glued)) - 2, glued
             assert verify_covering(f).passed, glued
             assert euler_characteristic(cover) == 2 * chi
+
+
+def test_polygon_lift_with_a_wrong_cone_count_fails_piece_euler(chain):
+    # double_cover makes no χ check of its own: condition (2) of the
+    # verifier catches a lifted polygon with one cone too few
+    cover, f = double_cover(chain.base, all_ones_labeling(chain.base))
+    p = chain.base.pieces[0]
+    lift = cover.pieces_by_id[f"{p.id}.01"]
+    bad = replace(lift, cones=lift.cones[1:])
+    source = replace(cover, pieces=tuple(bad if q is lift else q for q in cover.pieces))
+    report = verify_covering(replace(f, source=source))
+    assert not report.passed
+    chi = piece_orbifold_euler(bad)
+    assert chi == 2 * piece_orbifold_euler(p) + Fraction(1, 2)
+    assert [c.witness for c in report.checks if c.condition == "piece_euler"] == [
+        f"piece {lift.id}: chi {chi} != 2 * chi({p.id})"
+    ]
+    assert verify_covering(f).passed
 
 
 @pytest.mark.parametrize("k", range(1, 8))

@@ -128,3 +128,14 @@ def test_package_imports_form_no_cycle():
         ready = sorted(m for m in deps if m not in done and deps[m] <= set(done))
         assert ready, {m: deps[m] - set(done) for m in deps if m not in done}
         done += ready
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips asserts, so every internal check is an explicit raise
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

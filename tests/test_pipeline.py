@@ -1,8 +1,9 @@
 import gc
+import json
 
 import pytest
 
-from orbicover import cli, orbicore, pipeline
+from orbicover import cli, covers, orbicore, pipeline, serialize
 
 
 def test_report_stage_order_and_values(demo_report):
@@ -70,19 +71,37 @@ def test_topological_form_iff_on_demo_singular_corpus(chain):
             assert lhs == rhs
 
 
-def test_run_demo_leaves_no_cyclic_garbage():
-    # every object the demo builds is freed by reference counting, so none
-    # waits for the cyclic collector
+def _cyclic_garbage(run) -> list:
+    """What the cyclic collector finds after ``run()`` returns, with the
+    collector off while it runs."""
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.disable()
     try:
-        pipeline.run_demo()
+        run()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        assert gc.garbage == []
+        return list(gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def test_run_demo_leaves_no_cyclic_garbage():
+    # every object the demo builds is freed by reference counting, so none
+    # waits for the cyclic collector
+    assert _cyclic_garbage(pipeline.run_demo) == []
+
+
+def test_cover_chain_leaves_no_cyclic_garbage(chain):
+    # nor do the covers' sharing tables, or the closures that fill them,
+    # along the chain that a ladder-covers operation runs
+    def run():
+        cover, f_cover = covers.davis_double_cover(chain.base)
+        _hat, f_hat = covers.torsion_free_cover(cover)
+        text = serialize.dumps(serialize.covering_map_to_json(covers.compose(f_hat, f_cover)))
+        assert covers.verify_covering(serialize.covering_map_from_json(json.loads(text))).passed
+
+    assert _cyclic_garbage(run) == []

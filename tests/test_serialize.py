@@ -76,6 +76,7 @@ def test_dumps_peaks_at_about_twice_the_text(chain):
 
 def test_parsed_map_holds_each_id_and_step_once(chain):
     # the reader interns every string and keeps one tuple per distinct step
+    # and path
     f = compose(chain.y_hat_map, chain.y_map)
     text = serialize.dumps(serialize.covering_map_to_json(f))
     parsed = serialize.covering_map_from_json(json.loads(text))
@@ -87,3 +88,11 @@ def test_parsed_map_holds_each_id_and_step_once(chain):
         for step in path:
             assert steps.setdefault(step, step) is step
     assert len(steps) < sum(map(len, parsed.segment_map.values()))
+    # each segment_map key is the source's attachment key, and equal paths
+    # are one tuple
+    keys = {ref: ref for ref in parsed.source.attachments}
+    assert all(keys[ref] is ref for ref in parsed.segment_map)
+    paths: dict[tuple, tuple] = {}
+    for path in parsed.segment_map.values():
+        assert paths.setdefault(path, path) is path
+    assert len(paths) < len(parsed.segment_map)
