@@ -1,29 +1,31 @@
 """orbicover: combinatorial 2-orbicomplexes, finite orbifold covers, and
 the invariants that separate homeomorphism from homotopy equivalence."""
 
+from .graphs import (
+    RAM2,
+    MalformedRotation,
+    MarkedGraph,
+    OrbicoverError,
+    graph_to_dot,
+    marked_graph_isomorphism,
+    ribbon_neighborhood,
+    rotation_from_circuits,
+    topological_form,
+    wall_mark,
+)
 from .orbicore import (
     FREE,
     MIRROR,
-    RAM2,
     InvalidComplex,
-    MalformedRotation,
-    MarkedGraph,
     Orbicomplex,
-    OrbicoverError,
     Piece,
     Violation,
     disk_with_cones,
     euler_characteristic,
-    graph_to_dot,
-    marked_graph_isomorphism,
     piece_orbifold_euler,
-    ribbon_neighborhood,
-    rotation_from_circuits,
     singular_subspace,
     surface_with_boundary,
-    topological_form,
     validate_complex,
-    wall_mark,
 )
 from .coxeter import (
     Branch,
@@ -37,20 +39,20 @@ from .coxeter import (
     one_endedness_check,
     racg_presentation,
 )
-from .covers import (
-    CoveringMap,
-    CoverReport,
-    TwoTorsionLabeling,
-    all_ones_labeling,
+from .verify import CoverReport, CoveringMap, verify_covering
+from .towers import (
     compose,
-    davis_double_cover,
-    double_cover,
-    enumerate_double_covers,
     reflection_double,
     rotation_double,
     surface_over_disk_tower,
     torsion_free_cover,
-    verify_covering,
+)
+from .covers import (
+    TwoTorsionLabeling,
+    all_ones_labeling,
+    davis_double_cover,
+    double_cover,
+    enumerate_double_covers,
 )
 from .invariants import (
     AbelianInvariants,

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import coxeter, covers, invariants, orbicore, pipeline, serialize
+from . import coxeter, covers, graphs, invariants, orbicore, pipeline, serialize, verify
 from .graphs import OrbicoverError
 
 EXIT_OK = 0
@@ -83,7 +83,7 @@ def cmd_singular(args) -> int:
     c = serialize.orbicomplex_from_json(_load(args.complex))
     g = orbicore.singular_subspace(c)
     if args.dot:
-        _write(orbicore.graph_to_dot(g), args.out)
+        _write(graphs.graph_to_dot(g), args.out)
     else:
         _write(serialize.dumps(serialize.marked_graph_to_json(g)), args.out)
     return EXIT_OK
@@ -108,7 +108,7 @@ def cmd_pi1(args) -> int:
 
 def cmd_verify(args) -> int:
     f = serialize.covering_map_from_json(_load(args.cover))
-    report = covers.verify_covering(f)
+    report = verify.verify_covering(f)
     if args.json:
         _write(serialize.dumps(serialize.cover_report_to_json(report)), args.out)
     else:

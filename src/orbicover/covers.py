@@ -9,14 +9,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .doubles import (
-    UnsupportedPiece,
-    _cone_disk_double,
-    _fully_attached,
-    _polygon_lift,
-    _require_cone_disk,
-    _require_polygon,
-)
 from .graphs import MarkedGraph, OrbicoverError, is_wall, rotation_from_circuits, wall_mark
 from .orbicore import (
     FREE,
@@ -28,18 +20,20 @@ from .orbicore import (
     attachment_circuit,
     sharer,
 )
+from .towers import (
+    UnsupportedPiece,
+    _cone_disk_double,
+    _fully_attached,
+    _polygon_lift,
+    _require_cone_disk,
+    _require_polygon,
+)
 from .verify import CoveringMap, Step
 
-# re-exported for compatibility: callers read these as covers.<name>
-from .doubles import NotADiskOrbifold, NotAPolygon, reflection_double, rotation_double  # noqa: F401
+# re-exported while the benchmark reads them as covers.<name>
 from .orbicore import euler_characteristic  # noqa: F401
-from .towers import BadGenus, compose, surface_over_disk_tower, torsion_free_cover  # noqa: F401
-from .verify import (  # noqa: F401
-    CoverReport,
-    MismatchedComplexes,
-    graph_covering_violations,
-    verify_covering,
-)
+from .towers import compose, torsion_free_cover  # noqa: F401
+from .verify import verify_covering  # noqa: F401
 
 
 class NotAHomomorphism(OrbicoverError):

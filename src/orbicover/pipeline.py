@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from . import coxeter, covers, invariants, orbicore
+from . import coxeter, covers, graphs, invariants, orbicore, towers, verify
 from .coxeter import DefiningGraph
 from .graphs import RAM2, MarkedGraph
 from .invariants import AbelianInvariants
@@ -24,7 +24,7 @@ from .orbicore import Orbicomplex
 from .verify import CoveringMap
 
 
-class DemoFailure(orbicore.OrbicoverError):
+class DemoFailure(graphs.OrbicoverError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
@@ -98,7 +98,7 @@ PAIR_TARGET_CENSUS = {10: 4, 6: 8}
 def default_pair_predicate(sing_a, sing_b, nf_a, nf_b) -> bool:
     """Accept a pair iff the singular subspaces are non-isomorphic while the
     planar normal forms exist and agree."""
-    if orbicore.marked_graph_isomorphism(sing_a, sing_b) is not None:
+    if graphs.marked_graph_isomorphism(sing_a, sing_b) is not None:
         return False
     if nf_a is None or nf_b is None:
         return False
@@ -163,7 +163,7 @@ def tower_stages() -> Iterator[tuple[str, Tower]]:
     t.family2 = covers.enumerate_double_covers(t.cover2)
     t.candidates = [x for x in t.family2 if cone_census(x[1]) == PAIR_TARGET_CENSUS]
     cxs = [cx for _phi, cx, _fm in t.candidates]
-    sings = [orbicore.topological_form(orbicore.singular_subspace(cx)) for cx in cxs]
+    sings = [graphs.topological_form(orbicore.singular_subspace(cx)) for cx in cxs]
     nfs = t.normal_forms = [invariants.planar_normal_form(cx) for cx in cxs]
     t.pairs = [
         (i, j)
@@ -177,8 +177,8 @@ def tower_stages() -> Iterator[tuple[str, Tower]]:
     yield "pair_search", t
 
     # torsion-free degree-4 covers of the pair
-    t.y_hat, t.y_hat_map = covers.torsion_free_cover(t.y)
-    t.z_hat, t.z_hat_map = covers.torsion_free_cover(t.z)
+    t.y_hat, t.y_hat_map = towers.torsion_free_cover(t.y)
+    t.z_hat, t.z_hat_map = towers.torsion_free_cover(t.z)
     yield "torsion_free", t
 
 
@@ -204,10 +204,10 @@ def _base_stage(t: Tower) -> dict:
     base = t.base
     chi = orbicore.euler_characteristic(base)
     _check("base", chi == Fraction(-9, 2), f"chi(base) = {chi}, expected -9/2")
-    sing = orbicore.topological_form(orbicore.singular_subspace(base))
+    sing = graphs.topological_form(orbicore.singular_subspace(base))
     _check(
         "base",
-        orbicore.marked_graph_isomorphism(sing, tripod_graph()) is not None,
+        graphs.marked_graph_isomorphism(sing, tripod_graph()) is not None,
         "singular subspace should be the order-2-marked tripod",
     )
     ab = invariants.abelianization(invariants.fundamental_group_presentation(base))
@@ -228,7 +228,7 @@ def _base_stage(t: Tower) -> dict:
 
 
 def _first_cover_stage(t: Tower) -> dict:
-    rep1 = covers.verify_covering(t.map1)
+    rep1 = verify.verify_covering(t.map1)
     _check("first_cover", rep1.passed, f"verification failed: {rep1.failures()[:1]}")
     _check("first_cover", rep1.degree == 2, "expected degree 2")
     chi1 = orbicore.euler_characteristic(t.cover1)
@@ -238,10 +238,10 @@ def _first_cover_stage(t: Tower) -> dict:
         chi1 == 2 * orbicore.euler_characteristic(t.base),
         "chi multiplicativity failed",
     )
-    sing1 = orbicore.topological_form(orbicore.singular_subspace(t.cover1))
+    sing1 = graphs.topological_form(orbicore.singular_subspace(t.cover1))
     _check(
         "first_cover",
-        orbicore.marked_graph_isomorphism(sing1, theta_graph()) is not None,
+        graphs.marked_graph_isomorphism(sing1, theta_graph()) is not None,
         "singular subspace should be the theta graph with multiplicity 4",
     )
     _check(
@@ -259,7 +259,7 @@ def _first_cover_stage(t: Tower) -> dict:
 
 def _second_cover_stage(t: Tower) -> dict:
     _check("second_cover", len(t.family1) == 3, f"expected 3 labelings, got {len(t.family1)}")
-    rep2 = covers.verify_covering(t.map2)
+    rep2 = verify.verify_covering(t.map2)
     _check("second_cover", rep2.passed, f"verification failed: {rep2.failures()[:1]}")
     chi2 = orbicore.euler_characteristic(t.cover2)
     _check("second_cover", chi2 == Fraction(-18), f"chi = {chi2}, expected -18")
@@ -275,7 +275,7 @@ def _second_cover_stage(t: Tower) -> dict:
 def _pair_search_stage(t: Tower) -> dict:
     _check("pair_search", len(t.family2) == 7, f"expected 7 labelings, got {len(t.family2)}")
     for name, fm in (("Y", t.y_map), ("Z", t.z_map)):
-        rep = covers.verify_covering(fm)
+        rep = verify.verify_covering(fm)
         _check("pair_search", rep.passed, f"{name} verification failed")
     chiy, chiz = orbicore.euler_characteristic(t.y), orbicore.euler_characteristic(t.z)
     _check("pair_search", chiy == chiz == Fraction(-36), f"chi = {chiy}, {chiz}, expected -36")
@@ -301,16 +301,16 @@ def _pair_search_stage(t: Tower) -> dict:
 
 
 def _torsion_free_stage(t: Tower) -> dict:
-    tower3 = covers.surface_over_disk_tower(3)
-    tower7 = covers.surface_over_disk_tower(7)
+    tower3 = towers.surface_over_disk_tower(3)
+    tower7 = towers.surface_over_disk_tower(7)
     _check("torsion_free", len(tower3.disk.cones) == 6, "genus 3 tower should end at D2(6)")
     _check("torsion_free", len(tower7.disk.cones) == 10, "genus 7 tower should end at D2(10)")
     for tower in (tower3, tower7):
         for fm in (tower.upper, tower.lower):
-            rep = covers.verify_covering(fm)
+            rep = verify.verify_covering(fm)
             _check("torsion_free", rep.passed, "tower covering failed verification")
-        comp = covers.compose(tower.upper, tower.lower)
-        repc = covers.verify_covering(comp)
+        comp = towers.compose(tower.upper, tower.lower)
+        repc = verify.verify_covering(comp)
         _check("torsion_free", repc.passed and repc.degree == 4, "tower composite not degree 4")
 
     sings = {}
@@ -318,7 +318,7 @@ def _torsion_free_stage(t: Tower) -> dict:
         ("Y", t.y, t.y_hat, t.y_hat_map),
         ("Z", t.z, t.z_hat, t.z_hat_map),
     ):
-        rep = covers.verify_covering(fhat)
+        rep = verify.verify_covering(fhat)
         _check("torsion_free", rep.passed, f"{name}-hat verification failed")
         _check("torsion_free", rep.degree == 4, "expected degree 4")
         chih = orbicore.euler_characteristic(hat)
@@ -332,18 +332,18 @@ def _torsion_free_stage(t: Tower) -> dict:
             genus_by_cones == {6: 3, 10: 7},
             f"surface genera {genus_by_cones}, expected g=3 over D2(6), g=7 over D2(10)",
         )
-        sings[name] = orbicore.topological_form(orbicore.singular_subspace(hat))
-        four_copies = orbicore.topological_form(
+        sings[name] = graphs.topological_form(orbicore.singular_subspace(hat))
+        four_copies = graphs.topological_form(
             disjoint_copies(orbicore.singular_subspace(cx), 4)
         )
         _check(
             "torsion_free",
-            orbicore.marked_graph_isomorphism(sings[name], four_copies) is not None,
+            graphs.marked_graph_isomorphism(sings[name], four_copies) is not None,
             f"singular subspace of {name}-hat should be 4 copies of singular({name})",
         )
     _check(
         "torsion_free",
-        orbicore.marked_graph_isomorphism(sings["Y"], sings["Z"]) is None,
+        graphs.marked_graph_isomorphism(sings["Y"], sings["Z"]) is None,
         "torsion-free covers should still have non-homeomorphic singular subspaces",
     )
     cert = invariants.homotopy_equivalence_certificate(t.y_hat, t.z_hat)

@@ -175,10 +175,6 @@ def piece_to_json(p: Piece) -> dict:
     }
 
 
-def piece_from_json(data: dict) -> Piece:
-    return _piece_from_json(data, sharer())
-
-
 def _piece_from_json(data: dict, share) -> Piece:
     """A piece whose boundary and cones go through ``share`` once their
     items are checked: a boundary with a kind that is not a string is left

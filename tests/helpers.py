@@ -1,8 +1,8 @@
 """Small builders that only the tests use."""
 
 from orbicover.coxeter import DefiningGraph
-from orbicover.covers import CoveringMap
 from orbicover.orbicore import Orbicomplex
+from orbicover.verify import CoveringMap
 
 
 def identity_covering(c: Orbicomplex) -> CoveringMap:

@@ -3,9 +3,10 @@
 Deliberately reimplemented from first principles: a full weighted cell
 decomposition for Euler characteristics, determinantal divisors for Smith
 normal form, all-permutations search for marked graph and normal form
-isomorphism, all-subsets clique removal for one-endedness, index-2
-Reidemeister-Schreier rewriting for H_1 of a double cover, and the cellular
-chain complex for H_1 of a torsion-free complex.
+isomorphism, spanning-tree counts as an invariant that isomorphism keeps,
+all-subsets clique removal for one-endedness, index-2 Reidemeister-Schreier
+rewriting for H_1 of a double cover, and the cellular chain complex for H_1
+of a torsion-free complex.
 """
 
 from __future__ import annotations
@@ -23,16 +24,8 @@ from orbicover.invariants import (
     abelianization,
     fundamental_group_presentation,
 )
-from orbicover.orbicore import (
-    FREE,
-    MIRROR,
-    RAM2,
-    MarkedGraph,
-    Orbicomplex,
-    Piece,
-    is_wall,
-    wall_mark,
-)
+from orbicover.graphs import RAM2, MarkedGraph, is_wall, wall_mark
+from orbicover.orbicore import FREE, MIRROR, Orbicomplex, Piece
 
 
 def weighted_cell_euler(c: Orbicomplex) -> Fraction:
@@ -152,18 +145,21 @@ def random_orbicomplex(rng: random.Random) -> Orbicomplex:
 
 
 def _det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    """Determinant by fraction-free elimination (Bareiss 1968): every
+    division is exact, so all entries stay integers."""
+    m = [row[:] for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def snf_determinantal(matrix: list[list[int]]) -> list[int]:
@@ -259,6 +255,41 @@ def relabeled_copy(g: MarkedGraph, rng: random.Random) -> MarkedGraph:
         out.edges[f"f_{e2}"] = (f"w_{vmap[u]}", f"w_{vmap[v]}")
         out.multiplicity[f"f_{e2}"] = g.multiplicity.get(e, 0)
     return out
+
+
+def spanning_tree_counts(g: MarkedGraph) -> list[int]:
+    """The sorted spanning-tree count of each component of the underlying
+    multigraph: loops dropped, parallel edges counted apart, marks and
+    multiplicities ignored.  An isomorphism of marked graphs keeps these
+    counts, so graphs whose counts differ are not isomorphic.  Each count is
+    a cofactor of the component's Laplacian (Kirchhoff's matrix-tree
+    theorem)."""
+    parent = {v: v for v in g.marks}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges.values():
+        parent[root(u)] = root(v)
+    components: dict[str, list[str]] = {}
+    for v in sorted(g.marks):
+        components.setdefault(root(v), []).append(v)
+    counts = []
+    for vertices in components.values():
+        index = {v: i for i, v in enumerate(vertices[1:])}  # first row and column deleted
+        lap = [[0] * len(index) for _ in index]
+        for u, v in g.edges.values():
+            if u == v or root(u) != root(vertices[0]):
+                continue
+            for a, b in ((u, v), (v, u)):
+                if a in index:
+                    lap[index[a]][index[a]] += 1
+                    if b in index:
+                        lap[index[a]][index[b]] -= 1
+        counts.append(_det(lap))
+    return sorted(counts)
 
 
 def brute_force_normal_form_iso(n1: NormalForm, n2: NormalForm):

@@ -8,19 +8,16 @@ tests/test_acceptance.py`` to see the per-criterion lines.
 import random
 from fractions import Fraction
 
-from orbicover import covers, invariants
+from orbicover import invariants, towers, verify
 from orbicover.coxeter import Branch, branch_polygon
+from orbicover.graphs import RAM2, MarkedGraph, marked_graph_isomorphism, topological_form
 from orbicover.invariants import AbelianInvariants
 from orbicover.orbicore import (
     MIRROR,
-    RAM2,
-    MarkedGraph,
     disk_with_cones,
     euler_characteristic,
-    marked_graph_isomorphism,
     piece_orbifold_euler,
     singular_subspace,
-    topological_form,
 )
 
 from oracles import (
@@ -71,7 +68,7 @@ def test_a1_davis_construction(chain):
 
 def test_a2_first_double_cover(chain):
     def run():
-        rep = covers.verify_covering(chain.map1)
+        rep = verify.verify_covering(chain.map1)
         assert rep.passed and rep.degree == 2
         chi = euler_characteristic(chain.cover1)
         assert chi == Fraction(-9)
@@ -94,15 +91,15 @@ def test_a3_lemma_style_doubles():
     def run():
         for n in range(2, 13):
             p = branch_polygon(Branch(tuple(f"v{i}" for i in range(n))))
-            cover, f = covers.reflection_double(p)
-            rep = covers.verify_covering(f)
+            cover, f = towers.reflection_double(p)
+            rep = verify.verify_covering(f)
             assert rep.passed, (n, rep.failures()[:1])
             assert piece_orbifold_euler(cover) == 2 * piece_orbifold_euler(p)
             assert len(cover.cones) == n - 1
         for m in range(1, 9):
             p = disk_with_cones("d", m + 1)
-            cover, f = covers.rotation_double(p)
-            rep = covers.verify_covering(f)
+            cover, f = towers.rotation_double(p)
+            rep = verify.verify_covering(f)
             assert rep.passed, (m, rep.failures()[:1])
             smooth = [
                 tok
@@ -154,7 +151,7 @@ def test_a5_torsion_free_refinement(chain):
             (chain.y, chain.y_hat, chain.y_hat_map),
             (chain.z, chain.z_hat, chain.z_hat_map),
         ):
-            rep = covers.verify_covering(fhat)
+            rep = verify.verify_covering(fhat)
             assert rep.passed and rep.degree == 4
             assert euler_characteristic(hat) == Fraction(-144)
             assert invariants.torsion_freeness(hat)
@@ -177,8 +174,8 @@ def test_a5_torsion_free_refinement(chain):
         sz = topological_form(singular_subspace(chain.z_hat))
         assert marked_graph_isomorphism(sy, sz) is None
         assert invariants.homotopy_equivalence_certificate(chain.y_hat, chain.z_hat) is not None
-        assert len(covers.surface_over_disk_tower(3).disk.cones) == 6
-        assert len(covers.surface_over_disk_tower(7).disk.cones) == 10
+        assert len(towers.surface_over_disk_tower(3).disk.cones) == 6
+        assert len(towers.surface_over_disk_tower(7).disk.cones) == 10
 
     _criterion(
         "A5",
@@ -203,7 +200,7 @@ def test_a6_oracle_suites(covering_maps):
                 brute_force_graph_iso(g, h) is None
             )
         for name, fm in covering_maps:
-            rep = covers.verify_covering(fm)
+            rep = verify.verify_covering(fm)
             assert rep.passed, name
             assert euler_characteristic(fm.source) == fm.degree * euler_characteristic(
                 fm.target

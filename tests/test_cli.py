@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from orbicover import cli, coxeter, covers, invariants, orbicore, pipeline, serialize
+from orbicover import cli, coxeter, invariants, orbicore, pipeline, serialize, towers, verify
 from orbicover.serialize import (
     covering_map_from_json,
     covering_map_to_json,
@@ -50,7 +50,7 @@ def test_covering_map_roundtrip(chain):
     assert back.piece_map == f.piece_map
     assert back.segment_map == f.segment_map
     assert back.cone_fibers == f.cone_fibers
-    assert covers.verify_covering(back).passed
+    assert verify.verify_covering(back).passed
 
 
 def test_schema_error_on_garbage():
@@ -374,7 +374,7 @@ def _verify_json(f, tmp_path, capsys):
 def test_cmd_verify_json(chain, tmp_path, capsys):
     code, out = _verify_json(chain.map1, tmp_path, capsys)
     assert code == 0
-    assert out == serialize.cover_report_to_json(covers.verify_covering(chain.map1))
+    assert out == serialize.cover_report_to_json(verify.verify_covering(chain.map1))
     assert out["passed"] is True and out["degree"] == 2
 
     f2 = chain.map2
@@ -383,7 +383,7 @@ def test_cmd_verify_json(chain, tmp_path, capsys):
     code, out = _verify_json(dropped, tmp_path, capsys)
     assert code == 4
     assert out["passed"] is False
-    assert out == serialize.cover_report_to_json(covers.verify_covering(dropped))
+    assert out == serialize.cover_report_to_json(verify.verify_covering(dropped))
 
 
 def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
@@ -422,7 +422,7 @@ def test_cmd_verify_pass_and_fail(chain, tmp_path, capsys):
 
 def test_cmd_verify_step_direction_other_than_one_exits_four(tmp_path, capsys):
     # a reflection double whose -1 segment steps read -7 used to verify
-    _piece, f = covers.reflection_double(coxeter.branch_polygon(coxeter.Branch(("a", "b", "c", "d", "e"))))
+    _piece, f = towers.reflection_double(coxeter.branch_polygon(coxeter.Branch(("a", "b", "c", "d", "e"))))
     data = covering_map_to_json(f)
     for entry in data["segment_map"]:
         entry["steps"] = [[ci, si, -7 if d == -1 else d] for ci, si, d in entry["steps"]]

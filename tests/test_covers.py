@@ -7,42 +7,40 @@ from fractions import Fraction
 
 import pytest
 
-from orbicover import covers, orbicore, serialize, verify
+from orbicover import covers, graphs, orbicore, serialize, verify
 from orbicover.covers import (
-    BadGenus,
-    CoveringMap,
     MirrorsPresent,
-    NotADiskOrbifold,
-    NotAPolygon,
     NotAHomomorphism,
     NotSurjective,
     TwoTorsionLabeling,
-    UnsupportedPiece,
     all_ones_labeling,
-    compose,
     double_cover,
     enumerate_double_covers,
-    reflection_double,
-    rotation_double,
-    surface_over_disk_tower,
-    torsion_free_cover,
-    verify_covering,
 )
 from orbicover.coxeter import Branch, branch_polygon
+from orbicover.graphs import MarkedGraph, OrbicoverError, topological_form, wall_mark
 from orbicover.orbicore import (
     FREE,
     MIRROR,
-    MarkedGraph,
     Orbicomplex,
-    OrbicoverError,
     Piece,
     disk_with_cones,
     euler_characteristic,
     piece_orbifold_euler,
     singular_subspace,
-    topological_form,
-    wall_mark,
 )
+from orbicover.towers import (
+    BadGenus,
+    NotADiskOrbifold,
+    NotAPolygon,
+    UnsupportedPiece,
+    compose,
+    reflection_double,
+    rotation_double,
+    surface_over_disk_tower,
+    torsion_free_cover,
+)
+from orbicover.verify import CoveringMap, verify_covering
 
 from helpers import identity_covering
 
@@ -122,7 +120,7 @@ def test_dangling_reference_raises(chain):
         {"segment_map": {**f.segment_map, ("ghost", 0, 0): f.segment_map[ref]}},
         {"segment_map": {**f.segment_map, (ref[0], 5, 0): f.segment_map[ref]}},
     ):
-        with pytest.raises(covers.MismatchedComplexes):
+        with pytest.raises(verify.MismatchedComplexes):
             replace(f, **fields)
 
 
@@ -142,7 +140,7 @@ def test_built_map_cannot_change(chain):
             path[0] = path[0]
     assert copy.deepcopy(f) is f
     pid = min(f.piece_map)
-    with pytest.raises(covers.MismatchedComplexes, match=rf"^piece_map '{pid}' -> 'ghost'$"):
+    with pytest.raises(verify.MismatchedComplexes, match=rf"^piece_map '{pid}' -> 'ghost'$"):
         replace(f, piece_map={**f.piece_map, pid: ("ghost", 1)})
 
     # the caller's dicts and lists stay the caller's: editing them later
@@ -324,7 +322,7 @@ def test_davis_double_cover_shape(chain):
     # the all-ones cover: a banana graph with one edge per wall, and one
     # disk with n-1 cones and two free segments over each n-mirror polygon
     cover, f = covers.davis_double_cover(chain.base)
-    walls = [v for v, m in chain.base.graph.marks.items() if orbicore.is_wall(m)]
+    walls = [v for v, m in chain.base.graph.marks.items() if graphs.is_wall(m)]
     assert cover.graph.marks == {"hub.0": None, "hub.1": None}
     assert cover.graph.edges == {f"c.{w}": ("hub.0", "hub.1") for w in walls}
     assert cover.pieces == tuple(
@@ -340,7 +338,7 @@ def _assert_wall_lifts_not_bivalent(f):
     distinct edges: such a vertex is smoothed into one edge."""
     darts = f.source.graph.darts_by_vertex()
     for v, w in f.vertex_map.items():
-        if f.source.graph.marks[v] is None and orbicore.is_wall(f.target.graph.marks[w]):
+        if f.source.graph.marks[v] is None and graphs.is_wall(f.target.graph.marks[w]):
             assert not (len(darts[v]) == 2 and darts[v][0][0] != darts[v][1][0]), v
 
 
@@ -721,7 +719,7 @@ def test_torsion_free_cover_rejects_a_half_attached_disk():
 
 
 def test_compose_refuses_maps_that_do_not_chain(chain):
-    with pytest.raises(covers.MismatchedComplexes, match=r"^compose: f\.target is not g\.source$"):
+    with pytest.raises(verify.MismatchedComplexes, match=r"^compose: f\.target is not g\.source$"):
         compose(chain.map2, chain.map2)
 
 
@@ -1059,7 +1057,7 @@ _loop_cones = {("d", 0): [("cone", "d", 0)], ("d", 1): [("cone", "d", 1)]}
 def test_verifier_reaches_every_witness(make, condition, witness):
     # one hand-made mutant per witness line that no other test produces
     if condition is None:
-        with pytest.raises(covers.MismatchedComplexes) as exc:
+        with pytest.raises(verify.MismatchedComplexes) as exc:
             make()
         assert str(exc.value) == witness
     else:
@@ -1069,7 +1067,7 @@ def test_verifier_reaches_every_witness(make, condition, witness):
 def test_singular_functoriality(covering_maps):
     # the induced graph map of every verified cover is itself a covering
     for name, fm in covering_maps:
-        assert covers.graph_covering_violations(fm) == [], name
+        assert verify.graph_covering_violations(fm) == [], name
 
 
 def test_cover_singular_subspace_of_second_cover(chain):

@@ -15,7 +15,8 @@ from orbicover.coxeter import (
     one_endedness_check,
     racg_presentation,
 )
-from orbicover.orbicore import RAM2, is_wall, piece_orbifold_euler
+from orbicover.graphs import RAM2, is_wall
+from orbicover.orbicore import piece_orbifold_euler
 
 from oracles import (
     brute_force_one_ended,

@@ -22,12 +22,8 @@ from orbicover.invariants import (
     smith_normal_form,
     torsion_freeness,
 )
-from orbicover.orbicore import (
-    MarkedGraph,
-    Orbicomplex,
-    disk_with_cones,
-    euler_characteristic,
-)
+from orbicover.graphs import MarkedGraph
+from orbicover.orbicore import Orbicomplex, disk_with_cones, euler_characteristic
 
 from oracles import (
     brute_force_normal_form_iso,

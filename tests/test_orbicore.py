@@ -6,27 +6,30 @@ from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbicover import covers, graphs, invariants, orbicore, serialize
+from orbicover import covers, graphs, invariants, orbicore, serialize, towers, verify
+from orbicover.graphs import (
+    RAM2,
+    MarkedGraph,
+    graph_to_dot,
+    iter_marked_graph_isomorphisms,
+    mark_kind,
+    marked_graph_isomorphism,
+    ribbon_neighborhood,
+    rotation_from_circuits,
+    topological_form,
+)
 from orbicover.orbicore import (
     FREE,
     MIRROR,
-    RAM2,
-    MarkedGraph,
     Orbicomplex,
     Piece,
     Violation,
     disk_with_cones,
     euler_characteristic,
-    graph_to_dot,
-    iter_marked_graph_isomorphisms,
-    mark_kind,
-    marked_graph_isomorphism,
     piece_orbifold_euler,
-    ribbon_neighborhood,
-    rotation_from_circuits,
     singular_subspace,
-    topological_form,
     validate_complex,
 )
 from orbicover.pipeline import disjoint_copies
@@ -37,6 +40,7 @@ from oracles import (
     random_marked_graph,
     random_orbicomplex,
     relabeled_copy,
+    spanning_tree_counts,
     weighted_cell_euler,
 )
 
@@ -110,13 +114,13 @@ def test_invariants_and_builders_do_not_revalidate(chain, covering_maps, monkeyp
 
     def verify_every_tower_map():
         for name, fm in covering_maps:
-            assert covers.verify_covering(fm).passed, name
+            assert verify.verify_covering(fm).passed, name
 
     steps = {
         "davis_double_cover": lambda: covers.davis_double_cover(chain.base),
         "double_cover": lambda: covers.double_cover(chain.cover1, chain.family1[0][0]),
         "enumerate_double_covers": lambda: covers.enumerate_double_covers(chain.cover1),
-        "torsion_free_cover": lambda: covers.torsion_free_cover(y),
+        "torsion_free_cover": lambda: towers.torsion_free_cover(y),
         "parse complex": lambda: serialize.orbicomplex_from_json(json.loads(complex_text)),
         "parse map": lambda: serialize.covering_map_from_json(json.loads(map_text)),
         "invariants": invariants_of_y,
@@ -482,6 +486,34 @@ def test_iso_agrees_with_brute_force_on_small_graphs():
         assert got is None or is_marked_graph_isomorphism(g, h, got)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_iso_finds_nothing_where_spanning_tree_counts_differ(rng):
+    # relabelled copies count alike; moving one end of one edge often
+    # changes the counts, and then no isomorphism may be found
+    g = random_marked_graph(rng, 8)
+    assert spanning_tree_counts(relabeled_copy(g, rng)) == spanning_tree_counts(g)
+    h = relabeled_copy(g, rng)
+    if h.edges:
+        e = rng.choice(h.edge_ids())
+        h.edges[e] = (h.edges[e][0], rng.choice(h.vertices()))
+    if spanning_tree_counts(h) != spanning_tree_counts(g):
+        assert marked_graph_isomorphism(g, h) is None
+
+
+def test_spanning_tree_counts_separate_the_pairs_the_demo_accepts(chain):
+    # a second, exact route to "not homeomorphic": the demo accepts exactly
+    # the pairs of candidates whose singular subspaces count different
+    # spanning trees, and so do the hats of the pair it picks
+    sings = [topological_form(singular_subspace(cx)) for _phi, cx, _fm in chain.candidates]
+    counts = [spanning_tree_counts(g) for g in sings]
+    assert counts == [[168], [168], [384], [168], [96], [168]]
+    pairs = list(itertools.combinations(range(len(sings)), 2))
+    assert [(i, j) for i, j in pairs if counts[i] != counts[j]] == chain.pairs
+    hats = [topological_form(singular_subspace(c)) for c in (chain.y_hat, chain.z_hat)]
+    assert [spanning_tree_counts(g) for g in hats] == [[168] * 4, [384] * 4]
+
+
 def test_iso_tells_apart_graphs_the_refinement_cannot():
     # two prisms with multiplicity 2 on a perfect matching: the three rungs,
     # or one rung and two triangle edges.  Every vertex has the same
@@ -608,7 +640,7 @@ def test_ribbon_euler_formula_on_random_rotations():
             rng.shuffle(ds)
             rot[v] = ds
         if len(darts_at) < len(g.marks):
-            with pytest.raises(orbicore.MalformedRotation, match="inconsistent face count"):
+            with pytest.raises(graphs.MalformedRotation, match="inconsistent face count"):
                 ribbon_neighborhood(g, rot)
             continue
         answered += 1
@@ -631,7 +663,7 @@ def test_planar_normal_form_refuses_an_isolated_vertex(chain):
         return replace(c, graph=graph)
 
     y, z = with_lone_vertex(chain.y), with_lone_vertex(chain.z)
-    with pytest.raises(orbicore.MalformedRotation, match="V-E\\+F = 1"):
+    with pytest.raises(graphs.MalformedRotation, match="V-E\\+F = 1"):
         invariants.planar_normal_form(y)
     # equal Euler characteristics, so the refusal is what leaves the
     # certificate out
@@ -658,7 +690,7 @@ def test_planar_normal_form_walks_the_graph_once(chain, monkeypatch):
 
 def test_malformed_rotation_rejected():
     g = theta_graph()
-    with pytest.raises(orbicore.MalformedRotation):
+    with pytest.raises(graphs.MalformedRotation):
         ribbon_neighborhood(g, {"x": [("c1", 0)], "y": [("c1", 1)]})
 
 

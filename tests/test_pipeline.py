@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from orbicover import cli, covers, orbicore, pipeline, serialize
+from orbicover import cli, covers, orbicore, pipeline, serialize, towers, verify
+from orbicover.graphs import marked_graph_isomorphism, topological_form
 
 
 def test_report_stage_order_and_values(demo_report):
@@ -36,7 +37,7 @@ def test_inverted_pair_predicate_fails_stage_four(monkeypatch):
 
     def inverted(sing_a, sing_b, nf_a, nf_b):
         # isomorphic singular graphs AND unequal normal forms: no such pair
-        if orbicore.marked_graph_isomorphism(sing_a, sing_b) is None:
+        if marked_graph_isomorphism(sing_a, sing_b) is None:
             return False
         if nf_a is None or nf_b is None:
             return False
@@ -61,10 +62,10 @@ def test_topological_form_iff_on_demo_singular_corpus(chain):
     ]
     for g in graphs:
         for h in graphs:
-            lhs = orbicore.marked_graph_isomorphism(g, h) is not None
+            lhs = marked_graph_isomorphism(g, h) is not None
             rhs = (
-                orbicore.marked_graph_isomorphism(
-                    orbicore.topological_form(g), orbicore.topological_form(h)
+                marked_graph_isomorphism(
+                    topological_form(g), topological_form(h)
                 )
                 is not None
             )
@@ -100,8 +101,8 @@ def test_cover_chain_leaves_no_cyclic_garbage(chain):
     # along the chain that a ladder-covers operation runs
     def run():
         cover, f_cover = covers.davis_double_cover(chain.base)
-        _hat, f_hat = covers.torsion_free_cover(cover)
-        text = serialize.dumps(serialize.covering_map_to_json(covers.compose(f_hat, f_cover)))
-        assert covers.verify_covering(serialize.covering_map_from_json(json.loads(text))).passed
+        _hat, f_hat = towers.torsion_free_cover(cover)
+        text = serialize.dumps(serialize.covering_map_to_json(towers.compose(f_hat, f_cover)))
+        assert verify.verify_covering(serialize.covering_map_from_json(json.loads(text))).passed
 
     assert _cyclic_garbage(run) == []

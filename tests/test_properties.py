@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbicover import covers, coxeter, invariants, serialize
+from orbicover import covers, coxeter, invariants, serialize, towers, verify
 from orbicover.invariants import AbelianInvariants
 from orbicover.orbicore import euler_characteristic
 
@@ -38,11 +38,11 @@ def test_davis_tower_of_a_generated_graph(seed):
 
     cover, f_cover = covers.davis_double_cover(base)
     assert _h1(cover) == AbelianInvariants(0, (2,) * (v - 1))
-    hat, f_hat = covers.torsion_free_cover(cover)
-    maps = [f_cover, f_hat, covers.compose(f_hat, f_cover)]
+    hat, f_hat = towers.torsion_free_cover(cover)
+    maps = [f_cover, f_hat, towers.compose(f_hat, f_cover)]
     maps += [fm for _phi, _cx, fm in covers.enumerate_double_covers(cover)]
     for fm in maps:
-        assert covers.verify_covering(fm).passed
+        assert verify.verify_covering(fm).passed
 
     for c in (base, cover, hat):
         assert _round_trips(serialize.orbicomplex_to_json, serialize.orbicomplex_from_json, c)
@@ -67,7 +67,7 @@ def test_cellular_h1_of_a_generated_hat(seed):
     # the torsion-free degree-4 cover is a 2-complex: its cells give H_1 and
     # the Euler characteristic by a second route
     base = coxeter.davis_orbicomplex(random_branched_graph(random.Random(seed)))
-    hat, _f = covers.torsion_free_cover(covers.davis_double_cover(base)[0])
+    hat, _f = towers.torsion_free_cover(covers.davis_double_cover(base)[0])
     cells, b0, h1 = cellular_homology(hat)
     assert b0 == 1
     assert h1 == _h1(hat)

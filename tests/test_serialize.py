@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbicover import serialize
-from orbicover.covers import compose, verify_covering
+from orbicover.towers import compose
+from orbicover.verify import verify_covering
 
 
 def _reference(data) -> str:
