@@ -4,7 +4,7 @@ polygon per branch along a star of non-reflection half-edges."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -26,33 +26,44 @@ class HasTriangle(OrbicoverError):
 
 @dataclass(frozen=True)
 class DefiningGraph:
-    """Finite simplicial graph: vertex tokens plus unordered edges, no loops
-    or repeated edges."""
+    """Finite simplicial graph in one canonical form: ``vertices`` is the
+    sorted tuple of vertex ids and ``edges`` the sorted tuple of pairs
+    ``(a, b)`` with ``a < b``.  Any iterables are accepted and canonicalized
+    once, so equal graphs compare and hash equal however they were listed."""
 
-    vertices: frozenset[str]
-    edges: frozenset[frozenset[str]]
+    vertices: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
+        pairs = {(a, b) if a < b else (b, a) for a, b in self.edges}
+        object.__setattr__(self, "edges", tuple(sorted(pairs)))
 
     @staticmethod
     def from_edges(vertices, edges) -> "DefiningGraph":
-        vs = frozenset(vertices)
-        es = set()
+        """The graph on ``vertices`` with ``edges`` given as pairs in either
+        orientation; loops and unknown endpoints are refused, and a repeated
+        edge is kept once."""
+        vs = set(vertices)
+        edges = list(edges)
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at {a!r}")
             if a not in vs or b not in vs:
                 raise ValueError(f"edge ({a!r}, {b!r}) has unknown endpoint")
-            es.add(frozenset((a, b)))
-        return DefiningGraph(vs, frozenset(es))
+        return DefiningGraph(vs, edges)
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         """Sorted neighbours of every vertex, built once, keyed in sorted
-        vertex order so that every search over it repeats across processes."""
-        adj: dict[str, list[str]] = {v: [] for v in sorted(self.vertices)}
+        vertex order so that every search over it repeats across processes.
+        The sorted pairs list each vertex's lesser neighbours, as ``(c, a)``,
+        before its greater ones, as ``(a, b)``, so no list needs a sort."""
+        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return {v: tuple(ns) for v, ns in adj.items()}
 
     def valence(self, v: str) -> int:
         return len(self.adjacency.get(v, ()))
@@ -61,10 +72,10 @@ class DefiningGraph:
         return list(self.adjacency.get(v, ()))
 
     def sorted_vertices(self) -> list[str]:
-        return sorted(self.vertices)
+        return list(self.vertices)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        return list(self.edges)
 
     def _splits(self, removed: tuple[str, ...]) -> bool:
         """True iff the vertices outside ``removed`` lie in more than one
@@ -204,8 +215,10 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
         graph.marks[f"w.{v}"] = wall_mark(v)
         graph.edges[f"e.{v}"] = (f"w.{v}", "hub")  # canonical: leaf -> hub
 
-    # index parallel branches deterministically
+    # index parallel branches deterministically; one polygon per branch
+    # length, so that all pieces of one length share one boundary
     counters: dict[tuple[str, str], int] = {}
+    polygons: dict[int, Piece] = {}
     pieces = []
     attachments = {}
     for b in branches:
@@ -214,7 +227,9 @@ def davis_orbicomplex(g: DefiningGraph) -> Orbicomplex:
         counters[(lo, hi)] = k + 1
         pid = branch_id(b, k)
         path = b.path if b.path[0] == lo else tuple(reversed(b.path))
-        pieces.append(branch_polygon(b, pid))
+        if b.n not in polygons:
+            polygons[b.n] = branch_polygon(b)
+        pieces.append(replace(polygons[b.n], id=pid))
         # hub -> wall(lo) is e.lo reversed; wall(hi) -> hub is e.hi forward
         attachments[(pid, 0, 0)] = (f"e.{path[0]}", -1)
         attachments[(pid, 0, b.n + 1)] = (f"e.{path[-1]}", 1)

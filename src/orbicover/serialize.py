@@ -88,12 +88,16 @@ def _segment_ref(data: dict) -> tuple[str, int, int]:
 
 
 def defining_graph_from_json(data: dict) -> DefiningGraph:
+    """A defining graph whose vertex ids and edges are each listed once: a
+    repeated id, or an edge given twice in either orientation, is refused."""
     data = _obj(data, "defining graph")
-    vertices = [_str(v, "vertex id") for v in _list(_need(data, "vertices"), "vertices")]
-    edges = [
-        (_str(a, "edge end"), _str(b, "edge end"))
-        for a, b in _rows(_need(data, "edges"), "edge", 2)
-    ]
+    vertices: dict[str, None] = {}
+    for v in _list(_need(data, "vertices"), "vertices"):
+        _put(vertices, _str(v, "vertex id"), None, "vertex id")
+    edges: dict[tuple[str, str], None] = {}
+    for a, b in _rows(_need(data, "edges"), "edge", 2):
+        a, b = _str(a, "edge end"), _str(b, "edge end")
+        _put(edges, (a, b) if a < b else (b, a), None, "edge")
     try:
         return DefiningGraph.from_edges(vertices, edges)
     except ValueError as exc:

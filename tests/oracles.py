@@ -365,12 +365,13 @@ def brute_force_one_ended(g: DefiningGraph) -> bool:
     complete, and removing any vertex subset that is a clique (the empty
     set included) leaves at most one component. Small graphs only."""
     vs = sorted(g.vertices)
-    if len(g.edges) == len(vs) * (len(vs) - 1) // 2:
+    edges = frozenset(map(frozenset, g.edges))
+    if len(edges) == len(vs) * (len(vs) - 1) // 2:
         return False
     for k in range(len(vs) + 1):
         for sub in itertools.combinations(vs, k):
-            if all(frozenset(p) in g.edges for p in itertools.combinations(sub, 2)):
-                if _components_by_merging(set(vs) - set(sub), g.edges) > 1:
+            if all(frozenset(p) in edges for p in itertools.combinations(sub, 2)):
+                if _components_by_merging(set(vs) - set(sub), edges) > 1:
                     return False
     return True
 

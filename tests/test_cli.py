@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,6 +124,44 @@ def test_cmd_parse_error(tmp_path, capsys, cmd, text):
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli(cmd, str(path)) == 2
     assert "parse error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["racg", "davis"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"vertices": ["a", "b", "a"], "edges": [["a", "b"]]}', "repeated vertex id 'a'"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]}', "repeated edge ('a', 'b')"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}', "repeated edge ('a', 'b')"),
+    ],
+    ids=["repeated-vertex", "repeated-edge", "repeated-flipped-edge"],
+)
+def test_cmd_repeated_graph_entry_exits_two(tmp_path, capsys, cmd, text, message):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert run_cli(cmd, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"parse error: {message}"]
+
+
+def test_cli_output_does_not_depend_on_string_hashing(demo_graph_file):
+    # no output may follow the iteration order of a set or dict of strings,
+    # which changes with the hash seed from one process to the next
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m", "orbicover.cli", *argv],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            for argv in (["paper-demo", "--json"], ["racg", "--json", demo_graph_file],
+                         ["davis", demo_graph_file])
+        ])
+    assert all(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_cmd_racg_json(demo_graph_file, capsys):

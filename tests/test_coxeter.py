@@ -1,7 +1,12 @@
+import importlib.util
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbicover import coxeter, invariants, orbicore
 from orbicover.coxeter import (
@@ -20,6 +25,7 @@ from orbicover.orbicore import piece_orbifold_euler
 
 from oracles import (
     brute_force_one_ended,
+    random_branched_graph,
     random_defining_graph,
     random_subdivided_graph,
     weighted_cell_euler,
@@ -86,6 +92,58 @@ def test_adjacency_is_keyed_in_sorted_vertex_order():
     assert list(g.adjacency) == g.sorted_vertices()
 
 
+def _outcome(f, g):
+    try:
+        return f(g)
+    except NoEssentialVertices as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_defining_graph_has_one_canonical_form(rng, branched):
+    # however the vertices and edges are listed, oriented or repeated, the
+    # graph is one sorted form with one sorted adjacency index
+    g = (random_branched_graph if branched else random_defining_graph)(rng)
+    vs = [*g.vertices, *rng.sample(g.vertices, rng.randint(0, 2))]
+    es = [*g.edges, *rng.sample(g.edges, min(2, len(g.edges)))]
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    es = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in es]
+    h = DefiningGraph.from_edges(vs, es)
+    assert h == g and hash(h) == hash(g)
+    assert h == DefiningGraph(frozenset(vs), frozenset(map(frozenset, es)))
+    assert list(h.vertices) == sorted(set(vs))
+    assert all(a < b for a, b in h.edges)
+    assert all(e < f for e, f in zip(h.edges, h.edges[1:]))
+    pairs = {frozenset(e) for e in es}
+    assert h.adjacency == {v: tuple(u for u in h.vertices if {u, v} in pairs) for v in h.vertices}
+    assert list(h.adjacency) == list(h.vertices)
+    assert racg_presentation(h) == racg_presentation(g)
+    assert _outcome(branch_decomposition, h) == _outcome(branch_decomposition, g)
+
+
+def test_defining_graph_holds_one_pair_per_edge():
+    # 150 four-vertex branches between two essential vertices: 302 vertices
+    # and 450 edges.  With a frozenset per edge the graph and its adjacency
+    # held 145 KB; as sorted tuples of pairs they hold under 64 KB
+    vertices = ["u", "v"] + [f"m{k}.{j}" for k in range(150) for j in range(2)]
+    edges = []
+    for k in range(150):
+        path = ["u", f"m{k}.0", f"m{k}.1", "v"]
+        edges += zip(path, path[1:])
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        g = DefiningGraph.from_edges(vertices, edges)
+        g.adjacency
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(g.vertices), len(g.edges)) == (302, 450)
+    assert held <= 64 * 1024, held
+
+
 # ---------------------------------------------------------------------------
 # branches
 
@@ -125,7 +183,7 @@ def test_branches_partition_edge_set():
                 frozenset((b.path[i], b.path[i + 1])) for i in range(b.n - 1)
             ]
         assert len(covered) == len(set(covered)), "branches overlap"
-        assert set(covered) == set(g.edges)
+        assert set(covered) == {frozenset(e) for e in g.edges}
 
 
 def test_dangling_edge_rejected():
@@ -183,6 +241,22 @@ def test_davis_validates_and_singular_is_marked_star():
         assert len(leaves) == len(s.edges)
         essential = {v for v in g.vertices if g.valence(v) >= 3}
         assert len(leaves) == len(essential)
+
+
+def _ladder_graphs(seed):
+    """The ladder-covers inputs of the benchmark for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up here
+    spec.loader.exec_module(gen)
+    return [case.graph for case in gen.make_cases(gen.COVERS_SPECS, seed)]
+
+
+def test_davis_pieces_of_one_branch_length_share_one_boundary():
+    for g in [demo_defining_graph(), *_ladder_graphs(1)]:
+        pieces = davis_orbicomplex(g).pieces
+        assert len({id(p.boundary) for p in pieces}) == len({p.boundary for p in pieces})
 
 
 def test_davis_theta_defining_graph():
